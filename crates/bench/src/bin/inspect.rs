@@ -10,17 +10,15 @@
 //!                                    [--tol-gauge <name>:<pct> ...]
 //!                                    [--min-gauge <name>:<value> ...]
 //!                                    [--tol-resource <name>:<pct>[:<floor>] ...]
-//! udse-inspect merge <manifest>... [--tol <abs>] [-o <out>]
-//! udse-inspect trace <manifest | events.jsonl | trace.json> [--folded]
-//!                    [--per-worker] [-o <out>]
-//! udse-inspect report <manifest> [--shard-dir <dir>]
+//! udse-inspect trace <manifest | events.jsonl | trace.json> [--folded] [-o <out>]
 //! ```
 //!
-//! `show` prints a human-readable summary (artifacts, model quality,
-//! spans, metrics). `diff` compares a new run against a baseline and
-//! exits nonzero when wall time or model quality regressed beyond
-//! tolerance — the CI gate used by `scripts/ci.sh`. Quality budgets are
-//! per-study: `--tol-quality` is the per-benchmark default,
+//! `show` prints a human-readable summary (config, artifacts, model
+//! quality, spans, resources, the query-engine digest when the run
+//! executed queries, metrics). `diff` compares a new run against a
+//! baseline and exits nonzero when wall time or model quality regressed
+//! beyond tolerance — the CI gate used by `scripts/ci.sh`. Quality
+//! budgets are per-study: `--tol-quality` is the per-benchmark default,
 //! `--tol-quality-pooled` the tighter budget for pooled records, and
 //! `--tol-quality-max` the looser budget for worst-single-error (`max`)
 //! statistics. `--tol-gauge name:pct` (repeatable) watches a gauge
@@ -39,32 +37,22 @@
 //! `--tol-resource sweep.allocs_per_design:100:0.05` keeps the compiled
 //! sweep allocation-free; `resources.`-prefixed names read the manifest
 //! `resources` section (`resources.alloc_bytes`, `resources.peak_rss_kb`,
-//! …). `merge` aggregates the per-process manifests of one
-//! `repro --shards` run (the parent's plus every worker's) into a single
-//! document: minimum wall per artifact/span, work counters summed across
-//! processes, quality records carried verbatim with shared keys required
-//! to agree within `--tol` (default exact to 1e-9); the merged document
-//! is an ordinary manifest, so `diff` can gate a sharded run against a
-//! single-process baseline. `trace` emits Chrome `trace_event` JSON (open in Perfetto
-//! or `chrome://tracing`) from a JSONL event stream recorded with
-//! `UDSE_TRACE=1`, an existing Chrome trace array (e.g. the merged
-//! multi-process trace `repro --shards --trace` writes), or synthesized
-//! from a manifest's span totals; `trace <manifest> --folded` instead
-//! emits folded stacks (`path;to;span self_us` lines) consumable by
-//! `flamegraph.pl` and inferno, and `trace <input> --per-worker` prints
-//! a per-pid-lane breakdown (event count, wall span, busiest span) of a
-//! merged trace. `report` is the one-command run summary: the manifest
-//! sections of `show` plus, with `--shard-dir`, everything the worker
-//! telemetry sidecars add — per-shard wall/job-throughput skew,
-//! heartbeat-gap straggler warnings, unclean worker exits, and dropped
-//! trace events (silence threshold: `UDSE_STALL_SECS`, default 30).
+//! …). `trace` emits Chrome `trace_event` JSON (open in Perfetto or
+//! `chrome://tracing`) from a JSONL event stream recorded with
+//! `UDSE_TRACE=1`, an existing Chrome trace array (e.g. the one
+//! `repro --trace` writes), or synthesized from a manifest's span
+//! totals; `trace <manifest> --folded` instead emits folded stacks
+//! (`path;to;span self_us` lines) consumable by `flamegraph.pl` and
+//! inferno.
 //!
 //! Exit codes: 0 success / within tolerance, 1 regression detected,
-//! 2 usage or I/O error.
+//! 2 usage or I/O error (including an unknown flag or a flag missing its
+//! value).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use udse_bench::cli::{Args, Flag};
 use udse_bench::inspect::{self, DiffTolerances};
 use udse_obs::manifest::{write_with_parents, ParsedManifest};
 use udse_obs::trace;
@@ -75,19 +63,28 @@ use udse_obs::trace;
 #[global_allocator]
 static ALLOC: udse_obs::CountingAlloc = udse_obs::CountingAlloc::new();
 
-const USAGE: &str = "usage: udse-inspect <command>\n\
-  show  <manifest>                                 summarize one run\n\
-  diff  <baseline> <new> [--tol-wall <pct>] [--tol-quality <abs>]\n\
-        [--tol-quality-pooled <abs>] [--tol-quality-max <abs>] [--warn-wall]\n\
-        [--tol-gauge <name>:<pct> ...] [--min-gauge <name>:<value> ...]\n\
-        [--tol-resource <name>:<pct>[:<floor>] ...] gate a run against a baseline\n\
-  merge <manifest>... [--tol <abs>] [-o <path>]    aggregate sharded-run manifests\n\
-  trace <manifest | events.jsonl | trace.json> [--folded] [--per-worker] [-o <path>]\n\
-                                                   export Chrome trace_event JSON,\n\
-                                                   folded flamegraph stacks, or a\n\
-                                                   per-pid-lane summary\n\
-  report <manifest> [--shard-dir <dir>]            unified run report (spans, shard\n\
-                                                   skew, stragglers, quality)";
+const USAGE: &str = "usage: udse-inspect <command>
+  show  <manifest>                                 summarize one run
+  diff  <baseline> <new> [--tol-wall <pct>] [--tol-quality <abs>]
+        [--tol-quality-pooled <abs>] [--tol-quality-max <abs>] [--warn-wall]
+        [--tol-gauge <name>:<pct> ...] [--min-gauge <name>:<value> ...]
+        [--tol-resource <name>:<pct>[:<floor>] ...] gate a run against a baseline
+  trace <manifest | events.jsonl | trace.json> [--folded] [-o <path>]
+                                                   export Chrome trace_event JSON
+                                                   or folded flamegraph stacks";
+
+const DIFF_FLAGS: &[Flag] = &[
+    Flag::value("--tol-wall"),
+    Flag::value("--tol-quality"),
+    Flag::value("--tol-quality-pooled"),
+    Flag::value("--tol-quality-max"),
+    Flag::switch("--warn-wall"),
+    Flag::value("--tol-gauge"),
+    Flag::value("--min-gauge"),
+    Flag::value("--tol-resource"),
+];
+
+const TRACE_FLAGS: &[Flag] = &[Flag::switch("--folded"), Flag::value("-o")];
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("udse-inspect: {message}");
@@ -98,54 +95,156 @@ fn load(path: &str) -> Result<ParsedManifest, String> {
     ParsedManifest::read_from_path(Path::new(path))
 }
 
+/// Writes `text` to `-o <path>` when given, otherwise to stdout.
+fn emit(args: &Args, text: &str) -> ExitCode {
+    match args.value("-o") {
+        Some(out) => {
+            let out = PathBuf::from(out);
+            if let Err(e) = write_with_parents(&out, text) {
+                return fail(&e.to_string());
+            }
+            eprintln!("udse-inspect: wrote {}", out.display());
+        }
+        None => print!("{text}"),
+    }
+    ExitCode::SUCCESS
+}
+
+/// Parses every occurrence of a repeatable `name:number` gauge flag.
+fn gauge_specs(args: &Args, flag: &str, shape: &str) -> Result<Vec<(String, f64)>, String> {
+    args.values(flag)
+        .map(|spec| {
+            spec.rsplit_once(':')
+                .and_then(|(name, v)| Some((name.to_string(), v.parse::<f64>().ok()?)))
+                .filter(|(name, _)| !name.is_empty())
+                .ok_or_else(|| format!("{flag} expects {shape}, got `{spec}`"))
+        })
+        .collect()
+}
+
+fn diff_main(args: &Args) -> ExitCode {
+    let [old_path, new_path] = &args.positional[..] else {
+        return fail("diff expects exactly two manifest paths");
+    };
+    let mut tol =
+        DiffTolerances { warn_wall: args.has("--warn-wall"), ..DiffTolerances::default() };
+    let overrides = [
+        ("--tol-wall", &mut tol.wall_pct),
+        ("--tol-quality", &mut tol.quality_abs),
+        ("--tol-quality-pooled", &mut tol.quality_pooled_abs),
+        ("--tol-quality-max", &mut tol.quality_max_abs),
+    ];
+    for (flag, slot) in overrides {
+        if let Some(v) = args.value(flag) {
+            match v.parse::<f64>() {
+                Ok(v) => *slot = v,
+                Err(_) => return fail(&format!("{flag} expects a number, got `{v}`")),
+            }
+        }
+    }
+    match gauge_specs(args, "--tol-gauge", "<name>:<pct>") {
+        Ok(specs) => tol.gauge_warn = specs,
+        Err(e) => return fail(&e),
+    }
+    match gauge_specs(args, "--min-gauge", "<name>:<value>") {
+        Ok(specs) => tol.min_gauge = specs,
+        Err(e) => return fail(&e),
+    }
+    // --tol-resource name:pct[:floor] (metric names are dotted, never
+    // contain colons).
+    for spec in args.values("--tol-resource") {
+        let parsed = spec.split_once(':').and_then(|(name, rest)| {
+            let (pct, floor) = match rest.split_once(':') {
+                Some((p, f)) => (p.parse::<f64>().ok()?, f.parse::<f64>().ok()?),
+                None => (rest.parse::<f64>().ok()?, 0.0),
+            };
+            (!name.is_empty()).then(|| (name.to_string(), pct, floor))
+        });
+        match parsed {
+            Some(gate) => tol.resource_gate.push(gate),
+            None => {
+                return fail(&format!(
+                    "--tol-resource expects <name>:<pct>[:<floor>], got `{spec}`"
+                ))
+            }
+        }
+    }
+    let (old, new) = match (load(old_path), load(new_path)) {
+        (Ok(o), Ok(n)) => (o, n),
+        (Err(e), _) | (_, Err(e)) => return fail(&e),
+    };
+    let report = inspect::diff(&old, &new, &tol);
+    print!("{}", report.render());
+    if report.is_regression() {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+fn trace_main(args: &Args) -> ExitCode {
+    let [input] = &args.positional[..] else {
+        return fail("trace expects exactly one input path");
+    };
+    if args.has("--folded") {
+        if input.ends_with(".jsonl") {
+            return fail("--folded reads manifest span totals, not a JSONL event stream");
+        }
+        return match load(input) {
+            Ok(m) => emit(args, &inspect::folded_from_manifest(&m)),
+            Err(e) => fail(&e),
+        };
+    }
+    // Accept three input shapes: a JSONL event stream, an
+    // already-assembled Chrome trace array (e.g. from `repro --trace`),
+    // or a manifest whose span totals we synthesize events from.
+    let text = match std::fs::read_to_string(input.as_str()) {
+        Ok(t) => t,
+        Err(e) => return fail(&format!("reading {input}: {e}")),
+    };
+    let events = if input.ends_with(".jsonl") {
+        trace::parse_jsonl(&text).map_err(|e| format!("events {input}: {e}"))
+    } else if text.trim_start().starts_with('[') {
+        trace::parse_chrome_trace(&text).map_err(|e| format!("trace {input}: {e}"))
+    } else {
+        ParsedManifest::parse(&text)
+            .map(|m| inspect::manifest_trace_events(&m))
+            .map_err(|e| format!("{input}: {e}"))
+    };
+    match events {
+        Ok(events) => emit(args, &trace::chrome_trace_json(&events).to_string_pretty()),
+        Err(e) => fail(&e),
+    }
+}
+
 fn main() -> ExitCode {
     udse_obs::log::init();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Flags that consume the next argument; everything else non-dashed
-    // is positional.
-    const VALUE_FLAGS: [&str; 10] = [
-        "--tol-wall",
-        "--tol-quality",
-        "--tol-quality-pooled",
-        "--tol-quality-max",
-        "--tol-gauge",
-        "--min-gauge",
-        "--tol-resource",
-        "--tol",
-        "--shard-dir",
-        "-o",
-    ];
-    let mut positional: Vec<&String> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (command, rest) = match argv.split_first() {
+        Some((c, rest)) if !c.starts_with('-') => (c.as_str(), rest),
+        Some((c, _)) if c == "--help" || c == "-h" => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with('-') {
-            positional.push(a);
-        }
-    }
-    if args.iter().any(|a| a == "--help" || a == "-h") || positional.is_empty() {
+        _ => return fail(&format!("expected a command\n{USAGE}")),
+    };
+    let flags = match command {
+        "show" => &[][..],
+        "diff" => DIFF_FLAGS,
+        "trace" => TRACE_FLAGS,
+        other => return fail(&format!("unknown command `{other}`\n{USAGE}")),
+    };
+    let args = match Args::parse(rest, flags) {
+        Ok(a) => a,
+        Err(e) => return fail(&format!("{command}: {e}\n{USAGE}")),
+    };
+    if args.help() {
         eprintln!("{USAGE}");
-        return if positional.is_empty() { ExitCode::from(2) } else { ExitCode::SUCCESS };
+        return ExitCode::SUCCESS;
     }
-    let flag_value = |flag: &str| -> Option<&String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
-    };
-    let parse_f64 = |flag: &str| -> Result<Option<f64>, String> {
-        flag_value(flag)
-            .map(|v| v.parse::<f64>().map_err(|_| format!("{flag} expects a number, got `{v}`")))
-            .transpose()
-    };
-
-    match positional[0].as_str() {
+    match command {
         "show" => {
-            let [_, path] = positional[..] else {
+            let [path] = &args.positional[..] else {
                 return fail("show expects exactly one manifest path");
             };
             match load(path) {
@@ -156,245 +255,7 @@ fn main() -> ExitCode {
                 Err(e) => fail(&e),
             }
         }
-        "diff" => {
-            let [_, old_path, new_path] = positional[..] else {
-                return fail("diff expects exactly two manifest paths");
-            };
-            let mut tol = DiffTolerances {
-                warn_wall: args.iter().any(|a| a == "--warn-wall"),
-                ..DiffTolerances::default()
-            };
-            let overrides = [
-                ("--tol-wall", &mut tol.wall_pct),
-                ("--tol-quality", &mut tol.quality_abs),
-                ("--tol-quality-pooled", &mut tol.quality_pooled_abs),
-                ("--tol-quality-max", &mut tol.quality_max_abs),
-            ];
-            for (flag, slot) in overrides {
-                match parse_f64(flag) {
-                    Ok(Some(v)) => *slot = v,
-                    Ok(None) => {}
-                    Err(e) => return fail(&e),
-                }
-            }
-            // Repeatable --tol-gauge name:pct occurrences.
-            for (i, a) in args.iter().enumerate() {
-                if a != "--tol-gauge" {
-                    continue;
-                }
-                let Some(spec) = args.get(i + 1) else {
-                    return fail("--tol-gauge expects <name>:<pct>");
-                };
-                let parsed = spec
-                    .rsplit_once(':')
-                    .and_then(|(name, pct)| Some((name, pct.parse::<f64>().ok()?)))
-                    .filter(|(name, _)| !name.is_empty());
-                match parsed {
-                    Some((name, pct)) => tol.gauge_warn.push((name.to_string(), pct)),
-                    None => {
-                        return fail(&format!("--tol-gauge expects <name>:<pct>, got `{spec}`"))
-                    }
-                }
-            }
-            // Repeatable --min-gauge name:value occurrences.
-            for (i, a) in args.iter().enumerate() {
-                if a != "--min-gauge" {
-                    continue;
-                }
-                let Some(spec) = args.get(i + 1) else {
-                    return fail("--min-gauge expects <name>:<value>");
-                };
-                let parsed = spec
-                    .rsplit_once(':')
-                    .and_then(|(name, value)| Some((name, value.parse::<f64>().ok()?)))
-                    .filter(|(name, _)| !name.is_empty());
-                match parsed {
-                    Some((name, value)) => tol.min_gauge.push((name.to_string(), value)),
-                    None => {
-                        return fail(&format!("--min-gauge expects <name>:<value>, got `{spec}`"))
-                    }
-                }
-            }
-            // Repeatable --tol-resource name:pct[:floor] occurrences
-            // (metric names are dotted, never contain colons).
-            for (i, a) in args.iter().enumerate() {
-                if a != "--tol-resource" {
-                    continue;
-                }
-                let Some(spec) = args.get(i + 1) else {
-                    return fail("--tol-resource expects <name>:<pct>[:<floor>]");
-                };
-                let parsed = spec.split_once(':').and_then(|(name, rest)| {
-                    let (pct, floor) = match rest.split_once(':') {
-                        Some((p, f)) => (p.parse::<f64>().ok()?, f.parse::<f64>().ok()?),
-                        None => (rest.parse::<f64>().ok()?, 0.0),
-                    };
-                    (!name.is_empty()).then(|| (name.to_string(), pct, floor))
-                });
-                match parsed {
-                    Some(gate) => tol.resource_gate.push(gate),
-                    None => {
-                        return fail(&format!(
-                            "--tol-resource expects <name>:<pct>[:<floor>], got `{spec}`"
-                        ))
-                    }
-                }
-            }
-            let (old, new) = match (load(old_path), load(new_path)) {
-                (Ok(o), Ok(n)) => (o, n),
-                (Err(e), _) | (_, Err(e)) => return fail(&e),
-            };
-            let report = inspect::diff(&old, &new, &tol);
-            print!("{}", report.render());
-            if report.is_regression() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        "merge" => {
-            let paths = &positional[1..];
-            if paths.is_empty() {
-                return fail("merge expects at least one manifest path");
-            }
-            let tol = match parse_f64("--tol") {
-                Ok(v) => v.unwrap_or(1e-9),
-                Err(e) => return fail(&e),
-            };
-            let mut inputs: Vec<(String, ParsedManifest)> = Vec::with_capacity(paths.len());
-            for p in paths {
-                match load(p) {
-                    Ok(m) => inputs.push((p.to_string(), m)),
-                    Err(e) => return fail(&e),
-                }
-            }
-            let doc = match inspect::merge(&inputs, tol) {
-                Ok(doc) => doc,
-                Err(e) => return fail(&e),
-            };
-            let text = doc.to_string_pretty();
-            match flag_value("-o") {
-                Some(out) => {
-                    let out = PathBuf::from(out);
-                    if let Err(e) = write_with_parents(&out, &text) {
-                        return fail(&e.to_string());
-                    }
-                    eprintln!(
-                        "udse-inspect: merged {} manifest(s) into {}",
-                        inputs.len(),
-                        out.display()
-                    );
-                }
-                None => print!("{text}"),
-            }
-            ExitCode::SUCCESS
-        }
-        "trace" => {
-            let [_, input] = positional[..] else {
-                return fail("trace expects exactly one input path");
-            };
-            if args.iter().any(|a| a == "--folded") {
-                if input.ends_with(".jsonl") {
-                    return fail("--folded reads manifest span totals, not a JSONL event stream");
-                }
-                let folded = match load(input) {
-                    Ok(m) => inspect::folded_from_manifest(&m),
-                    Err(e) => return fail(&e),
-                };
-                match flag_value("-o") {
-                    Some(out) => {
-                        let out = PathBuf::from(out);
-                        if let Err(e) = write_with_parents(&out, &folded) {
-                            return fail(&e.to_string());
-                        }
-                        eprintln!("udse-inspect: wrote {}", out.display());
-                    }
-                    None => print!("{folded}"),
-                }
-                return ExitCode::SUCCESS;
-            }
-            // Accept three input shapes: a JSONL event stream, an
-            // already-assembled Chrome trace array (e.g. the merged
-            // multi-process trace from `repro --shards --trace`), or a
-            // manifest whose span totals we synthesize events from.
-            let parsed = if input.ends_with(".jsonl") {
-                let text = match std::fs::read_to_string(input.as_str()) {
-                    Ok(t) => t,
-                    Err(e) => return fail(&format!("reading events {input}: {e}")),
-                };
-                match trace::parse_jsonl(&text) {
-                    Ok(events) => trace::ParsedChromeTrace { events, lanes: Vec::new() },
-                    Err(e) => return fail(&format!("events {input}: {e}")),
-                }
-            } else {
-                let text = match std::fs::read_to_string(input.as_str()) {
-                    Ok(t) => t,
-                    Err(e) => return fail(&format!("reading {input}: {e}")),
-                };
-                if text.trim_start().starts_with('[') {
-                    match trace::parse_chrome_trace(&text) {
-                        Ok(parsed) => parsed,
-                        Err(e) => return fail(&format!("trace {input}: {e}")),
-                    }
-                } else {
-                    match ParsedManifest::parse(&text) {
-                        Ok(m) => trace::ParsedChromeTrace {
-                            events: inspect::manifest_trace_events(&m),
-                            lanes: Vec::new(),
-                        },
-                        Err(e) => return fail(&format!("{input}: {e}")),
-                    }
-                }
-            };
-            if args.iter().any(|a| a == "--per-worker") {
-                let summary = inspect::per_worker_summary(&parsed);
-                match flag_value("-o") {
-                    Some(out) => {
-                        let out = PathBuf::from(out);
-                        if let Err(e) = write_with_parents(&out, &summary) {
-                            return fail(&e.to_string());
-                        }
-                        eprintln!("udse-inspect: wrote {}", out.display());
-                    }
-                    None => print!("{summary}"),
-                }
-                return ExitCode::SUCCESS;
-            }
-            let doc = trace::chrome_trace_json_named(&parsed.events, &parsed.lanes);
-            let text = doc.to_string_pretty();
-            match flag_value("-o") {
-                Some(out) => {
-                    let out = PathBuf::from(out);
-                    if let Err(e) = write_with_parents(&out, &text) {
-                        return fail(&e.to_string());
-                    }
-                    eprintln!("udse-inspect: wrote {}", out.display());
-                }
-                None => print!("{text}"),
-            }
-            ExitCode::SUCCESS
-        }
-        "report" => {
-            let [_, path] = positional[..] else {
-                return fail("report expects exactly one manifest path");
-            };
-            let m = match load(path) {
-                Ok(m) => m,
-                Err(e) => return fail(&e),
-            };
-            let (sidecars, problems) = match flag_value("--shard-dir") {
-                Some(dir) => udse_obs::sidecar::collect(Path::new(dir)),
-                None => (Vec::new(), Vec::new()),
-            };
-            let stall_after = std::env::var("UDSE_STALL_SECS")
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|s| *s > 0.0)
-                .map(std::time::Duration::from_secs_f64)
-                .unwrap_or(std::time::Duration::from_secs(30));
-            print!("{}", inspect::report(&m, &sidecars, &problems, stall_after));
-            ExitCode::SUCCESS
-        }
-        other => fail(&format!("unknown command `{other}`\n{USAGE}")),
+        "diff" => diff_main(&args),
+        _ => trace_main(&args),
     }
 }

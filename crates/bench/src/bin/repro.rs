@@ -3,12 +3,9 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] [--verbose] [--jobs N] [--shards N] [--shard-dir <dir>]
-//!       [--csv <dir>] [--manifest <path>] [--trace <path>] <artifact>...
-//! repro plan [--quick] [--out <path>]
+//! repro [--quick] [--verbose] [--jobs N] [--csv <dir>] [--manifest <path>]
+//!       [--trace <path>] <artifact>...
 //! repro query [--quick] [--jobs N] [--manifest <path>] (--file <path> | '<json>')
-//! repro worker --plan <file> --shard i/N --out <file>
-//!              [--manifest <path>] [--telemetry <path>] [--jobs W]
 //!
 //! artifacts:
 //!   space     Table 1 design space summary
@@ -40,11 +37,12 @@
 //! default is the paper-scale configuration (1,000 training samples,
 //! exhaustive 262,500-point evaluation).
 //!
-//! `--jobs N` caps the simulation/fitting worker pool at `N` threads
+//! `--jobs N` caps the simulation/fitting thread pool at `N` threads
 //! (default: all available cores; `--jobs 1` runs fully sequentially on
-//! the calling thread). Results are deterministic regardless of `N` —
-//! every simulation is a pure function of its inputs and the pool
-//! preserves input order — so parallel runs differ only in wall time.
+//! the calling thread). The pool is the run's only parallelism. Results
+//! are deterministic regardless of `N` — every simulation is a pure
+//! function of its inputs and the pool preserves input order — so
+//! parallel runs differ only in wall time.
 //!
 //! `--verbose` raises logging to `info` (equivalent to `UDSE_LOG=info`;
 //! never lowers an explicit `UDSE_LOG`) and prints an end-of-run span
@@ -53,57 +51,36 @@
 //! instructions, oracle cache hits/misses, sweep throughput, …), span
 //! totals, and model-quality records (`udse-inspect` consumes these).
 //! `--trace <path>` records discrete span events (like `UDSE_TRACE=1`)
-//! and writes them as Chrome `trace_event` JSON loadable in Perfetto;
-//! combined with `--shards N` the written trace is the *merged*
-//! multi-process timeline — parent plus one pid lane per worker shard,
-//! with worker clocks normalized onto the parent's via the anchors in
-//! their telemetry sidecars. Only the paper's tables and figures go to
-//! stdout.
-//!
-//! `--shards N` distributes every simulation batch across `N` forked
-//! `repro worker` child processes instead of in-process threads: each
-//! batch becomes an on-disk evaluation plan (see `repro plan`), each
-//! worker evaluates a deterministic contiguous job-ID slice and writes a
-//! result shard plus its own manifest, and the parent reassembles the
-//! shards in job-ID order. Outputs are bitwise-identical to `--jobs`-only
-//! runs. `--shard-dir <dir>` (default `target/shards`) holds the plan,
-//! shard, per-worker manifest, and telemetry sidecar files; aggregate
-//! the manifests with `udse-inspect merge` and summarize a whole run
-//! with `udse-inspect report`. While workers run, the parent tails
-//! their sidecars: per-shard completion renders live on stderr, worker
-//! log lines are prefixed `[shard i/N]`, and a worker silent past
-//! `UDSE_STALL_SECS` (default 30) is flagged as a straggler/stall with
-//! its last-known job. The `plan` and `worker` subcommands are the
-//! pieces: `plan` emits the training plan document, `worker` evaluates
-//! one shard of a plan file (the parent forks these, and a failed or
-//! killed worker is reported with the exact command to retry).
+//! and writes them as Chrome `trace_event` JSON loadable in Perfetto.
+//! Only the paper's tables and figures go to stdout. An unknown flag, an
+//! unknown artifact, or a flag missing its value prints the usage and
+//! exits 1 before any work starts.
 //!
 //! `query` answers a single design-space question from the command line:
-//! it trains the model suite (or reuses nothing — training is cheap at
-//! `--quick` scale), parses the canonical query JSON (inline argument or
-//! `--file <path>`), executes it on the unified query engine, and prints
-//! the canonical `QueryResult` JSON to stdout. Errors (malformed JSON,
-//! unknown fields, invalid constraints) go to stderr with a non-zero
-//! exit. `--manifest <path>` snapshots the engine's `query.*` counters
-//! (executed, cache hits/misses, designs/sec) for `udse-inspect`.
+//! it trains the model suite (training is cheap at `--quick` scale),
+//! parses the canonical query JSON (inline argument or `--file <path>`),
+//! executes it on the unified query engine, and prints the canonical
+//! `QueryResult` JSON to stdout. Usage errors exit 1; a rejected query
+//! (malformed JSON, unknown fields, invalid constraints) goes to stderr
+//! with exit 2. `--manifest <path>` snapshots the engine's `query.*`
+//! counters (executed, cache hits/misses, designs/sec) for
+//! `udse-inspect`.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use udse_bench::cli::{Args, Flag};
 use udse_bench::{
     ablations, csv_export, depth_figs, extensions, figures, hetero_figs, plot_export, Context,
 };
 use udse_core::report::format_table;
 use udse_core::space::DesignSpace;
-use udse_core::studies::TrainedSuite;
-use udse_core::{EvalPlan, Oracle, Query, SimSpec};
-use udse_obs::{cputime, sidecar, span, trace, Json, Level, ResultShard, RunManifest};
+use udse_core::Query;
+use udse_obs::{span, trace, Json, Level, RunManifest};
 use udse_sim::MachineConfig;
 
-// Count every heap allocation (parent and forked workers alike — the
-// worker is this same binary) so manifests, telemetry sidecars, and
-// span attribution report measured numbers instead of "not measured".
-// See `udse_obs::alloc` for the near-zero disabled/enabled cost.
+// Count every heap allocation so manifests and span attribution report
+// measured numbers instead of "not measured". See `udse_obs::alloc` for
+// the near-zero disabled/enabled cost.
 #[global_allocator]
 static ALLOC: udse_obs::CountingAlloc = udse_obs::CountingAlloc::new();
 
@@ -238,49 +215,44 @@ const ALL: [&str; 22] = [
     "ablations",
 ];
 
-const USAGE: &str = "usage: repro [--quick] [--verbose] [--jobs N] [--shards N] \
-     [--shard-dir <dir>] [--csv <dir>] [--manifest <path>] [--trace <path>] <artifact>...";
+const USAGE: &str =
+    "usage: repro [--quick] [--verbose] [--jobs N] [--csv <dir>] [--manifest <path>]
+             [--trace <path>] <artifact>...
+       repro query [--quick] [--jobs N] [--manifest <path>] (--file <path> | '<json>')";
 
-const PLAN_USAGE: &str = "usage: repro plan [--quick] [--out <path>]";
+const FLAGS: &[Flag] = &[
+    Flag::switch("--quick"),
+    Flag::switch("--verbose").or("-v"),
+    Flag::value("--jobs"),
+    Flag::value("--csv"),
+    Flag::value("--manifest"),
+    Flag::value("--trace"),
+];
 
-const QUERY_USAGE: &str =
-    "usage: repro query [--quick] [--jobs N] [--manifest <path>] (--file <path> | '<json>')";
+const QUERY_FLAGS: &[Flag] = &[
+    Flag::switch("--quick"),
+    Flag::value("--jobs"),
+    Flag::value("--manifest"),
+    Flag::value("--file"),
+];
 
-const WORKER_USAGE: &str = "usage: repro worker --plan <file> --shard i/N --out <file> \
-     [--manifest <path>] [--telemetry <path>] [--jobs W]";
+/// Prints `message` and the usage, and returns the usage-error exit code.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("repro: {message}\n{USAGE}");
+    ExitCode::FAILURE
+}
 
-/// `repro plan`: emit the canonical training evaluation plan as JSON, to
-/// stdout or `--out <path>`. The document is what `repro worker`
-/// consumes and what `--shards` writes per batch.
-fn plan_main(args: &[String]) -> ExitCode {
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{PLAN_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let ctx = Context::new(quick);
-    let plan = TrainedSuite::training_plan(ctx.config());
-    let doc = plan.to_json(&SimSpec::of(ctx.sim_oracle())).to_string_pretty();
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    match out {
-        Some(path) => match udse_obs::manifest::write_with_parents(&path, &doc) {
-            Ok(()) => {
-                udse_obs::info!("plan", "wrote {} jobs to {}", plan.len(), path.display());
-                ExitCode::SUCCESS
+/// Applies `--jobs N` to the thread pool and returns the pool size.
+fn set_jobs(args: &Args) -> Result<usize, ExitCode> {
+    match args.value("--jobs") {
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => {
+                udse_obs::pool::set_max_workers(n);
+                Ok(n)
             }
-            Err(e) => {
-                udse_obs::error!("plan", "cannot write plan: {e}");
-                ExitCode::FAILURE
-            }
+            _ => Err(usage_error(&format!("--jobs expects a positive integer, got `{v}`"))),
         },
-        None => {
-            print!("{doc}");
-            ExitCode::SUCCESS
-        }
+        None => Ok(udse_obs::pool::max_workers()),
     }
 }
 
@@ -288,39 +260,21 @@ fn plan_main(args: &[String]) -> ExitCode {
 /// unified query engine and print the canonical result JSON. Exit codes:
 /// 0 on success, 1 for usage/IO problems, 2 when the query itself is
 /// rejected (parse error or engine validation).
-fn query_main(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{QUERY_USAGE}");
+fn query_main(argv: &[String]) -> ExitCode {
+    let args = match Args::parse(argv, QUERY_FLAGS) {
+        Ok(a) => a,
+        Err(e) => return usage_error(&format!("query: {e}")),
+    };
+    if args.help() {
+        eprintln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let value = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
-    if let Some(v) = value("--jobs") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => udse_obs::pool::set_max_workers(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer\n{QUERY_USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let quick = args.has("--quick");
+    if let Err(code) = set_jobs(&args) {
+        return code;
     }
     // The query text is either the one positional argument or --file.
-    let mut skip_next = false;
-    let mut positional: Vec<&String> = Vec::new();
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--jobs" || a == "--manifest" || a == "--file" {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with('-') {
-            positional.push(a);
-        }
-    }
-    let text = match (value("--file"), positional.as_slice()) {
+    let text = match (args.value("--file"), &args.positional[..]) {
         (Some(path), []) => match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -328,11 +282,8 @@ fn query_main(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        (None, [inline]) => (*inline).clone(),
-        _ => {
-            eprintln!("expected exactly one query: inline JSON or --file <path>\n{QUERY_USAGE}");
-            return ExitCode::FAILURE;
-        }
+        (None, [inline]) => inline.clone(),
+        _ => return usage_error("expected exactly one query: inline JSON or --file <path>"),
     };
     let query = match Query::parse(&text) {
         Ok(q) => q,
@@ -354,13 +305,13 @@ fn query_main(args: &[String]) -> ExitCode {
     // Pretty output already ends in a newline; `print!` avoids a blank
     // trailing line so stdout is byte-stable for smoke-test diffs.
     print!("{}", result.to_json().to_string_pretty());
-    if let Some(mpath) = value("--manifest") {
+    if let Some(mpath) = args.value("--manifest") {
         let mut manifest = RunManifest::new("repro-query");
         manifest.set("quick", Json::Bool(quick));
         manifest.set("seed", Json::Int(ctx.config().seed as i64));
         manifest.set("eval_stride", Json::Int(ctx.config().eval_stride as i64));
         manifest.record_artifact("query", started.elapsed().as_secs_f64());
-        if let Err(e) = manifest.write_to_path(std::path::Path::new(mpath.as_str())) {
+        if let Err(e) = manifest.write_to_path(std::path::Path::new(mpath)) {
             udse_obs::error!("query", "cannot write manifest: {e}");
             return ExitCode::FAILURE;
         }
@@ -368,301 +319,51 @@ fn query_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro worker`: evaluate one deterministic contiguous shard of a plan
-/// file and write the result shard (and optionally a worker manifest).
-/// The parent `repro --shards N` forks these; the exit code tells it
-/// whether the shard file is trustworthy.
-fn worker_main(args: &[String]) -> ExitCode {
-    let value = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
-    let (Some(plan_path), Some(shard_arg), Some(out_path)) =
-        (value("--plan"), value("--shard"), value("--out"))
-    else {
-        eprintln!("{WORKER_USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let parsed = shard_arg
-        .split_once('/')
-        .and_then(|(i, n)| Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?)));
-    let Some((index, count)) = parsed.filter(|&(i, n)| n >= 1 && i < n) else {
-        eprintln!("--shard expects i/N with i < N\n{WORKER_USAGE}");
-        return ExitCode::FAILURE;
-    };
-    if let Some(v) = value("--jobs") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => udse_obs::pool::set_max_workers(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer\n{WORKER_USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let text = match std::fs::read_to_string(plan_path) {
-        Ok(t) => t,
-        Err(e) => {
-            udse_obs::error!("worker", "cannot read plan {plan_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (plan, spec) = match EvalPlan::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            udse_obs::error!("worker", "plan {plan_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let oracle = spec.build();
-    let range = plan.shard_range(index, count);
-    let started = std::time::Instant::now();
-    // The parent re-emits worker stderr under a `[shard i/N]` prefix, so
-    // this line both announces the range and proves log attribution.
-    udse_obs::info!(
-        "worker",
-        "shard {index}/{count} of plan `{}`: {} jobs",
-        plan.label(),
-        range.len()
-    );
-    // Telemetry sidecar: meta first, then heartbeats from a companion
-    // thread while evaluation runs, then spans/events/summary at exit.
-    // Telemetry failures must never take down the work itself, so a
-    // sidecar that cannot be created is warned about and skipped.
-    let writer = value("--telemetry").and_then(|tpath| {
-        let meta = sidecar::SidecarMeta {
-            pid: std::process::id() as u64,
-            plan_label: plan.label().to_string(),
-            shard_index: index as u64,
-            shard_count: count as u64,
-            jobs: range.len() as u64,
-            anchor_unix_us: udse_obs::trace::anchor_unix_us(),
-        };
-        match sidecar::SidecarWriter::create(std::path::Path::new(tpath.as_str()), &meta) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                udse_obs::warn!("worker", "telemetry disabled: {e}");
-                None
-            }
-        }
-    });
-    let total = range.len() as u64;
-    let done = AtomicU64::new(0);
-    // Last completed plan-global job id, offset by one so 0 means none.
-    let last_job = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let beat = |writer: &sidecar::SidecarWriter| {
-        let job = last_job.load(Ordering::Relaxed);
-        writer.heartbeat(&sidecar::Heartbeat {
-            t_us: udse_obs::trace::since_anchor_us(),
-            done: done.load(Ordering::Relaxed),
-            total,
-            last_job: job.checked_sub(1),
-            rss_kb: cputime::read_rss_kb(),
-        });
-    };
-    let mut metrics = Vec::with_capacity(range.len());
-    std::thread::scope(|scope| {
-        if let Some(writer) = &writer {
-            beat(writer);
-            scope.spawn(|| {
-                let interval = std::env::var("UDSE_HEARTBEAT_MS")
-                    .ok()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|ms| *ms > 0)
-                    .unwrap_or(250);
-                let slice = std::time::Duration::from_millis(10);
-                let mut slept = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(slice);
-                    slept += 10;
-                    if slept >= interval {
-                        slept = 0;
-                        beat(writer);
-                    }
-                }
-            });
-        }
-        // Evaluate in job-id-ordered chunks so the heartbeat counters
-        // advance mid-shard. Every job is a pure function and chunks
-        // concatenate in input order, so the chunk size cannot affect
-        // the assembled values — only heartbeat granularity.
-        let _w = span::enter("worker");
-        let chunk = range.len().div_ceil(64).max(udse_obs::pool::max_workers()).max(1);
-        let mut at = range.start;
-        while at < range.end {
-            let upto = (at + chunk).min(range.end);
-            metrics.extend(oracle.evaluate_many(&plan.jobs()[at..upto]));
-            done.store((upto - range.start) as u64, Ordering::Relaxed);
-            last_job.store(upto as u64, Ordering::Relaxed);
-            at = upto;
-        }
-        drop(_w);
-        stop.store(true, Ordering::Relaxed);
-    });
-    if let Some(writer) = &writer {
-        beat(writer);
-    }
-    let rows: Vec<(u64, Vec<f64>)> =
-        range.clone().zip(&metrics).map(|(id, m)| (id as u64, vec![m.bips, m.watts])).collect();
-    let shard =
-        match ResultShard::new(plan.label(), plan.len() as u64, index as u64, count as u64, rows) {
-            Ok(s) => s,
-            Err(e) => {
-                udse_obs::error!("worker", "shard {index}/{count} of plan `{}`: {e}", plan.label());
-                return ExitCode::FAILURE;
-            }
-        };
-    if let Err(e) = shard.write_to_path(std::path::Path::new(out_path.as_str())) {
-        udse_obs::error!("worker", "cannot write result shard: {e}");
-        return ExitCode::FAILURE;
-    }
-    let dropped = udse_obs::trace::global().dropped();
-    if let Some(mpath) = value("--manifest") {
-        // Trace-buffer overflow is a counter, so the manifest snapshot
-        // (and any later `udse-inspect diff`) sees it, not just stderr.
-        udse_obs::metrics::counter("trace.dropped_events").add(dropped);
-        let mut manifest = RunManifest::new("repro-worker");
-        manifest.set("plan", Json::str(plan.label()));
-        manifest.set("shard_index", Json::Int(index as i64));
-        manifest.set("shard_count", Json::Int(count as i64));
-        manifest.set("trace_len", Json::Int(spec.trace_len as i64));
-        manifest.set("seed", Json::Int(spec.seed as i64));
-        manifest.record_artifact("worker", started.elapsed().as_secs_f64());
-        if let Err(e) = manifest.write_to_path(std::path::Path::new(mpath.as_str())) {
-            udse_obs::error!("worker", "cannot write manifest: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(writer) = &writer {
-        let spans = sidecar::span_lines(&span::global().snapshot());
-        let events = if udse_obs::trace::enabled() {
-            udse_obs::trace::global().snapshot()
-        } else {
-            Vec::new()
-        };
-        let stats = udse_obs::alloc::stats();
-        let summary = sidecar::Summary {
-            done: done.load(Ordering::Relaxed),
-            wall_us: udse_obs::trace::since_anchor_us(),
-            dropped_events: dropped,
-            cpu_us: cputime::process_cpu_us(),
-            allocs: udse_obs::alloc::counting().then_some(stats.allocs),
-            alloc_bytes: udse_obs::alloc::counting().then_some(stats.bytes_allocated),
-            peak_rss_kb: cputime::peak_rss_kb(),
-            // Memo effectiveness travels with the shard: a worker only
-            // sees its own job range, so the parent needs these to
-            // judge sub-config reuse across the whole plan.
-            precompute_hits: Some(udse_obs::metrics::counter("sim.precompute.hits").get()),
-            precompute_misses: Some(udse_obs::metrics::counter("sim.precompute.misses").get()),
-        };
-        if let Err(e) = writer.finish(&spans, &events, &summary) {
-            udse_obs::warn!("worker", "telemetry incomplete: {e}");
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     udse_obs::log::init();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("plan") => return plan_main(&args[1..]),
-        Some("query") => return query_main(&args[1..]),
-        Some("worker") => return worker_main(&args[1..]),
-        _ => {}
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().map(String::as_str) == Some("query") {
+        return query_main(&argv[1..]);
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let verbose = args.iter().any(|a| a == "--verbose" || a == "-v");
-    if verbose {
-        udse_obs::log::raise_level(Level::Info);
-    }
-    // --csv <dir>: also export tabular series next to the text output.
-    let arg_value = |flag: &str| -> Option<std::path::PathBuf> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from)
+    let args = match Args::parse(&argv, FLAGS) {
+        Ok(a) => a,
+        Err(e) => return usage_error(&e),
     };
-    let csv_dir = arg_value("--csv");
-    let manifest_path = arg_value("--manifest");
-    let trace_path = arg_value("--trace");
-    if trace_path.is_some() {
-        udse_obs::trace::enable();
-    }
-    // --jobs N: cap the simulation/fitting worker pool. Default is all
-    // available cores; 1 restores fully sequential execution.
-    let jobs = match arg_value("--jobs") {
-        Some(v) => match v.to_string_lossy().parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                udse_obs::pool::set_max_workers(n);
-                n
-            }
-            _ => {
-                eprintln!("--jobs expects a positive integer\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => udse_obs::pool::max_workers(),
-    };
-    // --shards N: fork every simulation batch across N worker processes
-    // (bitwise-identical results; see the module docs above).
-    let shards = match arg_value("--shards") {
-        Some(v) => match v.to_string_lossy().parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                eprintln!("--shards expects a positive integer\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let shard_dir =
-        arg_value("--shard-dir").unwrap_or_else(|| std::path::PathBuf::from("target/shards"));
-    let mut skip_next = false;
-    let mut artifacts: Vec<&str> = Vec::new();
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--csv"
-            || a == "--manifest"
-            || a == "--trace"
-            || a == "--jobs"
-            || a == "--shards"
-            || a == "--shard-dir"
-        {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with('-') {
-            artifacts.push(a.as_str());
-        }
-    }
-    if args.iter().any(|a| a == "--help" || a == "-h") || artifacts.is_empty() {
+    if args.help() {
         eprintln!("{USAGE}\nartifacts: {} all", ALL.join(" "));
-        return if artifacts.is_empty() { ExitCode::FAILURE } else { ExitCode::SUCCESS };
+        return ExitCode::SUCCESS;
+    }
+    let mut artifacts: Vec<&str> = args.positional.iter().map(String::as_str).collect();
+    if artifacts.is_empty() {
+        return usage_error(&format!("no artifact given (artifacts: {} all)", ALL.join(" ")));
+    }
+    if let Some(bad) = artifacts.iter().find(|a| **a != "all" && !ALL.contains(a)) {
+        return usage_error(&format!("unknown artifact `{bad}`"));
     }
     if artifacts.contains(&"all") {
         artifacts = ALL.to_vec();
     }
-    let ctx = match shards {
-        Some(n) => {
-            let exe = match std::env::current_exe() {
-                Ok(p) => p,
-                Err(e) => {
-                    udse_obs::error!("repro", "cannot locate own binary for --shards: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Split the thread budget so N workers do not oversubscribe
-            // the machine N-fold.
-            let worker_jobs = jobs.div_ceil(n).max(1);
-            Context::sharded(quick, n, exe, shard_dir.clone(), worker_jobs)
-        }
-        None => Context::new(quick),
+    let quick = args.has("--quick");
+    if args.has("--verbose") {
+        udse_obs::log::raise_level(Level::Info);
+    }
+    // --csv <dir>: also export tabular series next to the text output.
+    let csv_dir = args.value("--csv").map(std::path::PathBuf::from);
+    let manifest_path = args.value("--manifest").map(std::path::PathBuf::from);
+    let trace_path = args.value("--trace").map(std::path::PathBuf::from);
+    if trace_path.is_some() {
+        trace::enable();
+    }
+    // --jobs N: cap the simulation/fitting thread pool. Default is all
+    // available cores; 1 restores fully sequential execution.
+    let jobs = match set_jobs(&args) {
+        Ok(n) => n,
+        Err(code) => return code,
     };
+    let ctx = Context::new(quick);
     let mut manifest = RunManifest::new("repro");
     manifest.set("quick", Json::Bool(quick));
     manifest.set("jobs", Json::Int(jobs as i64));
-    manifest.set("shards", Json::Int(shards.unwrap_or(1) as i64));
     manifest.set("seed", Json::Int(ctx.config().seed as i64));
     manifest.set("train_samples", Json::Int(ctx.config().train_samples as i64));
     manifest.set("eval_stride", Json::Int(ctx.config().eval_stride as i64));
@@ -720,7 +421,7 @@ fn main() -> ExitCode {
     // Allocation totals as counters so `udse-inspect diff
     // --tol-resource alloc.bytes:pct[:floor]` can gate allocation
     // regressions between runs (the `resources` section carries the
-    // same totals; counters additionally merge across shard manifests).
+    // same totals).
     if udse_obs::alloc::counting() {
         let a = udse_obs::alloc::stats();
         udse_obs::metrics::counter("alloc.count").add(a.allocs);
@@ -740,44 +441,7 @@ fn main() -> ExitCode {
         if dropped > 0 {
             udse_obs::warn!("repro", "trace buffer full: {dropped} events dropped");
         }
-        // Sharded runs merge every worker's sidecar events onto the
-        // parent's timeline, one pid lane per shard index, clocks
-        // normalized via the sidecar anchors.
-        let doc = if shards.is_some() {
-            let (sidecars, problems) = sidecar::collect(&shard_dir);
-            for problem in &problems {
-                udse_obs::warn!("repro", "trace merge: {problem}");
-            }
-            let mut worker_traces = Vec::new();
-            let mut lanes = vec![(trace::PARENT_PID, "repro (parent)".to_string())];
-            for (spath, doc) in &sidecars {
-                let Some(meta) = &doc.meta else {
-                    udse_obs::warn!("repro", "trace merge: {} has no meta", spath.display());
-                    continue;
-                };
-                let lane = meta.shard_index;
-                if !lanes.iter().any(|(pid, _)| *pid == trace::worker_pid(lane)) {
-                    lanes.push((trace::worker_pid(lane), format!("worker shard {lane}")));
-                }
-                worker_traces.push(trace::WorkerTrace {
-                    lane,
-                    anchor_unix_us: meta.anchor_unix_us,
-                    events: doc.events.clone(),
-                });
-            }
-            lanes.sort_by_key(|(pid, _)| *pid);
-            let merged =
-                trace::merge_process_traces(&events, trace::anchor_unix_us(), &worker_traces);
-            udse_obs::info!(
-                "repro",
-                "merged {} worker sidecar(s) into the trace ({} lanes)",
-                worker_traces.len(),
-                lanes.len()
-            );
-            trace::chrome_trace_json_named(&merged, &lanes)
-        } else {
-            trace::chrome_trace_json(&events)
-        };
+        let doc = trace::chrome_trace_json(&events);
         match udse_obs::manifest::write_with_parents(path, &doc.to_string_pretty()) {
             Ok(()) => {
                 udse_obs::info!(

@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod cli;
 pub mod context;
 pub mod csv_export;
 pub mod depth_figs;
@@ -30,7 +31,5 @@ pub mod figures;
 pub mod hetero_figs;
 pub mod inspect;
 pub mod plot_export;
-pub mod shard;
 
 pub use context::Context;
-pub use shard::{GroundTruth, ShardedOracle};

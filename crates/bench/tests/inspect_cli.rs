@@ -1,5 +1,6 @@
-//! End-to-end tests of the `udse-inspect` binary: regression gating exit
-//! codes and Chrome-trace schema validity.
+//! End-to-end tests of the `udse-inspect` binary (regression gating exit
+//! codes, Chrome-trace schema validity) and of both binaries' usage
+//! errors.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -195,4 +196,45 @@ fn usage_errors_exit_2() {
     assert_eq!(inspect(&["bogus"]).status.code(), Some(2));
     assert_eq!(inspect(&["diff", "only-one.json"]).status.code(), Some(2));
     assert_eq!(inspect(&["diff", "a", "b", "--tol-wall", "not-a-number"]).status.code(), Some(2));
+    // Unknown flags and value flags without a value are usage errors
+    // that name the flag, even when the rest of the command is valid.
+    let path = write_fixture("usage.json", &manifest_text(3.0, 0.016));
+    let path = path.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["show", path, "--bogus"], "--bogus"),
+        (vec!["diff", path, path, "--tol-gauge"], "--tol-gauge"),
+        (vec!["trace", path, "-o"], "-o"),
+        (vec!["trace", path, "--per-worker"], "--per-worker"),
+    ] {
+        let out = inspect(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("`{flag}`")), "{args:?} must name {flag}: {err}");
+        assert!(err.contains("usage:"), "{args:?} must print usage: {err}");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn repro_usage_errors_exit_nonzero_naming_the_flag() {
+    // Every case fails while scanning the command line, before any
+    // simulation starts, and must leave no manifest behind.
+    let manifest =
+        std::env::temp_dir().join(format!("udse_repro_usage_{}.json", std::process::id()));
+    let manifest = manifest.to_str().unwrap();
+    for (args, needle) in [
+        (vec!["--quick", "space", "--manifest"], "`--manifest` expects a value"),
+        (vec!["--quick", "--jbos", "2", "space", "--manifest", manifest], "unknown flag `--jbos`"),
+        (vec!["--quick", "--verbose", "--csv"], "`--csv` expects a value"),
+        (vec!["--quick", "fig99", "--manifest", manifest], "unknown artifact `fig99`"),
+        (vec!["query", "--quick", "--bogus", "{}"], "unknown flag `--bogus`"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(&args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} produced output: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?} must report {needle}: {err}");
+        assert!(err.contains("usage:"), "{args:?} must print usage: {err}");
+        assert!(!std::path::Path::new(manifest).exists(), "{args:?} wrote a manifest");
+    }
 }

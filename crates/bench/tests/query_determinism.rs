@@ -7,8 +7,9 @@
 //! serialized document or on raw bit patterns, never on tolerances.
 //!
 //! (Study-level regression vs the committed baseline manifest is gated
-//! separately: `scripts/ci.sh` diffs a fresh bench manifest against
-//! `baselines/BENCH_*.json` with zero tolerance on the quality section.)
+//! separately: `scripts/ci.sh` diffs a fresh bench manifest against the
+//! `BENCH_*.json` named by the `BASELINE` file, gating the quality
+//! section hard.)
 
 use udse_core::oracle::{Metrics, Oracle};
 use udse_core::query::{Axis, Constraint, Engine, Query};

@@ -331,7 +331,7 @@ const MAX_LANES: usize = 32;
 /// in predictor order, interaction products in model order, response
 /// back-transform — so stacked predictions are *bitwise-identical* to
 /// per-model calls, which keeps fused sweeps interchangeable with
-/// separate ones and `--jobs`/`--shards` runs deterministic.
+/// separate ones and `--jobs` runs deterministic.
 #[derive(Debug, Clone)]
 pub struct SuiteLanes {
     /// Stacked (performance, power) model pairs.
@@ -553,7 +553,7 @@ impl SuiteLanes {
 /// [`CompiledModel::predict_indices`] exactly (left-to-right, one sum per
 /// axis), so every visited value is bitwise-identical to a per-point
 /// call — chunk boundaries cannot change results, which preserves the
-/// `--jobs`/`--shards` determinism contract.
+/// `--jobs` determinism contract.
 ///
 /// For `stride > 1` the walk visits [`crate::studies::strided_point`]
 /// positions and runs the stacked per-point kernel; same bitwise

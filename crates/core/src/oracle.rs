@@ -65,8 +65,7 @@ pub trait Oracle: Send + Sync {
 
     /// Evaluates every job of an [`EvalPlan`], returning metrics in job-ID
     /// order. Equivalent to [`Oracle::evaluate_many`] on the plan's job
-    /// list; sharding oracles override the batch path, not this, so a
-    /// plan evaluates identically however the work is distributed.
+    /// list, plus the `plan.jobs` counter.
     fn evaluate_plan(&self, plan: &EvalPlan) -> Vec<Metrics> {
         udse_obs::metrics::counter("plan.jobs").add(plan.len() as u64);
         self.evaluate_many(plan.jobs())
@@ -253,13 +252,6 @@ impl SimOracle {
     /// The configured trace length.
     pub fn trace_len(&self) -> usize {
         self.trace_len
-    }
-
-    /// The configured trace seed (captured by
-    /// [`crate::plan::SimSpec::of`] so worker processes rebuild an
-    /// equivalent oracle).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Returns the cached trace for a benchmark, generating it on first

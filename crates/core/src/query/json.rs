@@ -1,7 +1,7 @@
 //! Canonical versioned JSON wire format for queries and results.
 //!
-//! This is the protocol the planned `udse-serve` daemon will speak, so
-//! it follows the [`crate::plan`] serialization discipline strictly:
+//! The `repro query` command reads and writes these documents, so the
+//! format is strict:
 //!
 //! - Every document carries a version field (`query_version` /
 //!   `result_version`) checked against [`QUERY_SCHEMA_VERSION`].
@@ -15,16 +15,14 @@
 //! fractionless number like `64` is accepted where a float is expected
 //! (the canonical writer always emits `64.0`).
 //!
-//! Design points serialize exactly as in evaluation plans — seven group
-//! indices plus the FO4 depth that disambiguates the paper space from
-//! the exploration space.
+//! Design points serialize as their seven group indices plus the FO4
+//! depth that disambiguates the paper space from the exploration space.
 
 use udse_obs::Json;
 use udse_trace::Benchmark;
 
 use crate::oracle::Metrics;
-use crate::plan::{benchmark_by_name, point_from_parts};
-use crate::space::DesignPoint;
+use crate::space::{DesignPoint, DesignSpace};
 
 use super::{Axis, Constraint, Objective, OptimumEntry, PredictedPoint, Query, QueryResult};
 
@@ -59,6 +57,21 @@ fn check_version(doc: &Json, field: &str) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Looks up a benchmark by its [`Benchmark::name`].
+fn benchmark_by_name(name: &str) -> Option<Benchmark> {
+    Benchmark::ALL.into_iter().find(|b| b.name() == name)
+}
+
+/// Reconstructs a design point from its serialized group indices and FO4
+/// depth. The depth value selects the space: the paper and exploration
+/// depth lists never agree at the same index (`9 + 3i` vs `12 + 3i`), so
+/// the reconstruction is unambiguous.
+fn point_from_parts(indices: [u8; 7], fo4: u32) -> Option<DesignPoint> {
+    [DesignSpace::paper(), DesignSpace::exploration()]
+        .into_iter()
+        .find_map(|space| space.point(indices).filter(|p| p.fo4() == fo4))
 }
 
 fn point_to_json(p: &DesignPoint) -> Json {
@@ -630,7 +643,6 @@ impl QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::DesignSpace;
 
     fn p(i: u64) -> DesignPoint {
         DesignSpace::exploration().decode(i).unwrap()
@@ -740,6 +752,33 @@ mod tests {
             "objective": "efficiency",
             "constraints": [{"axis": "l3_kb", "min": null, "max": 1.0}], "stride": 1}"#;
         assert!(Query::parse(bad_axis).unwrap_err().contains("unknown axis"));
+    }
+
+    #[test]
+    fn points_resolve_their_space_by_fo4() {
+        // Exploration depth_idx 0 is 12 FO4; paper depth_idx 0 is 9 FO4.
+        // Both serialize the same indices and must come back from the
+        // right space.
+        let explo = DesignSpace::exploration().decode(0).unwrap();
+        let paper = DesignSpace::paper().decode(0).unwrap();
+        assert_eq!(explo.depth_idx, paper.depth_idx);
+        for point in [explo, paper] {
+            let back = point_from_json(&point_to_json(&point), "p").unwrap();
+            assert_eq!(back, point);
+            assert_eq!(back.fo4(), point.fo4());
+        }
+        let point = |fo4: u32| {
+            let doc = format!(
+                r#"{{"query_version": 1, "type": "point", "bench": "ammp",
+                "point": {{"idx": [0,0,0,0,0,0,0], "fo4": {fo4}}}}}"#
+            );
+            Query::parse(&doc)
+        };
+        assert!(point(9).is_ok() && point(12).is_ok());
+        assert!(point(10).unwrap_err().contains("fit no space"));
+        let bad_bench = r#"{"query_version": 1, "type": "point", "bench": "nope",
+            "point": {"idx": [0,0,0,0,0,0,0], "fo4": 9}}"#;
+        assert!(Query::parse(bad_bench).unwrap_err().contains("unknown benchmark `nope`"));
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl DepthValidation {
                 wanted.push(*p);
             }
         }
-        let plan = crate::plan::EvalPlan::cross_suite("depth.validation", &wanted);
+        let plan = crate::plan::EvalPlan::cross_suite(&wanted);
         let simulated: HashMap<(Benchmark, DesignPoint), crate::oracle::Metrics> =
             plan.jobs().iter().copied().zip(oracle.evaluate_plan(&plan)).collect();
         let sim = |b: Benchmark, p: &DesignPoint| simulated[&(b, *p)];

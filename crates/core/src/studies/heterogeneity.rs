@@ -195,7 +195,7 @@ pub fn simulated_gains<O: Oracle + ?Sized>(
             }
         }
     }
-    let plan = crate::plan::EvalPlan::from_jobs("heterogeneity.gains", jobs);
+    let plan = crate::plan::EvalPlan::from_jobs(jobs);
     let simulated: HashMap<(Benchmark, DesignPoint), Metrics> =
         plan.jobs().iter().copied().zip(oracle.evaluate_plan(&plan)).collect();
     gains_with(optima, suite, seed, |b, p| simulated[&(b, *p)].bips_cubed_per_watt())
@@ -213,7 +213,7 @@ pub fn compromise_errors<O: Oracle + ?Sized>(
 ) -> (f64, f64) {
     let jobs: Vec<(Benchmark, DesignPoint)> =
         clusters.iter().flat_map(|c| c.members.iter().map(|&b| (b, c.architecture))).collect();
-    let plan = crate::plan::EvalPlan::from_jobs("heterogeneity.compromise", jobs);
+    let plan = crate::plan::EvalPlan::from_jobs(jobs);
     let simulated = oracle.evaluate_plan(&plan);
     let mut bips_signed = Vec::with_capacity(plan.len());
     let mut watts_signed = Vec::with_capacity(plan.len());

@@ -139,7 +139,7 @@ impl TrainedSuite {
     /// workers and the results splice back in bitwise-identically.
     pub fn training_plan(config: &StudyConfig) -> EvalPlan {
         let samples = DesignSpace::paper().sample_uar(config.train_samples, config.seed);
-        EvalPlan::cross_suite("train", &samples)
+        EvalPlan::cross_suite(&samples)
     }
 
     /// The models for one benchmark.

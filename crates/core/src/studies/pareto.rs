@@ -176,10 +176,7 @@ impl FrontierStudy {
         let designs: Vec<DesignPoint> = rows.iter().map(|r| r.point).collect();
         let predicted: Vec<Metrics> = rows.iter().map(|r| r.predicted).collect();
         // Frontier sims are independent — run them as one parallel batch.
-        let plan = EvalPlan::from_jobs(
-            "pareto.frontier",
-            designs.iter().map(|p| (benchmark, *p)).collect(),
-        );
+        let plan = EvalPlan::from_jobs(designs.iter().map(|p| (benchmark, *p)).collect());
         let simulated = oracle.evaluate_plan(&plan);
         FrontierStudy { benchmark, designs, predicted, simulated }
     }

@@ -64,7 +64,7 @@ impl ValidationStudy {
         assert!(!points.is_empty(), "validation needs at least one point");
         // One parallel batch for the full benchmarks x points cross
         // product; results index as [bi * points.len() + pi].
-        let plan = EvalPlan::cross_suite("validation", points);
+        let plan = EvalPlan::cross_suite(points);
         let simulated = oracle.evaluate_plan(&plan);
         let mut per_benchmark = Vec::with_capacity(9);
         let mut all_perf_signed = Vec::new();

@@ -1,12 +1,10 @@
 //! Best-effort `/proc` resource probes: CPU time and resident-set size.
 //!
-//! Everything here follows the same contract as the original RSS probe
-//! that lived in [`crate::sidecar`]: read a `/proc` file, parse, return
+//! Every probe follows one contract: read a `/proc` file, parse, return
 //! `Option` — `None` on any platform or parse hiccup, never an error
-//! and never a panic. Both sides of a sharded run use these: workers
-//! stamp their sidecar summaries, the parent stamps its manifest
-//! `resources` section, and [`crate::span`] samples thread CPU time at
-//! span enter/exit.
+//! and never a panic. The manifest stamps its `resources` section with
+//! them, and [`crate::span`] samples thread CPU time at span
+//! enter/exit.
 //!
 //! # CPU-time caveats
 //!
@@ -55,15 +53,9 @@ pub fn process_cpu_us() -> Option<u64> {
     stat_cpu_us(&std::fs::read_to_string("/proc/self/stat").ok()?)
 }
 
-/// Resident-set size of this process in KiB, read from
-/// `/proc/self/status` (`VmRSS`). `None` where `/proc` is unavailable —
-/// callers treat RSS as best-effort.
-pub fn read_rss_kb() -> Option<u64> {
-    status_kb(&std::fs::read_to_string("/proc/self/status").ok()?, "VmRSS:")
-}
-
 /// Peak resident-set size of this process in KiB (`VmHWM` — the
-/// high-water mark since exec).
+/// high-water mark since exec), read from `/proc/self/status`. `None`
+/// where `/proc` is unavailable — callers treat RSS as best-effort.
 pub fn peak_rss_kb() -> Option<u64> {
     status_kb(&std::fs::read_to_string("/proc/self/status").ok()?, "VmHWM:")
 }
@@ -98,11 +90,8 @@ mod tests {
     fn live_probes_are_best_effort_and_sane() {
         // On Linux these read real values; elsewhere they return None.
         // Either way they must not panic.
-        if let Some(kb) = read_rss_kb() {
-            assert!(kb > 0, "a live process has nonzero RSS");
-        }
-        if let (Some(rss), Some(peak)) = (read_rss_kb(), peak_rss_kb()) {
-            assert!(peak >= rss, "high-water mark {peak} below current RSS {rss}");
+        if let Some(kb) = peak_rss_kb() {
+            assert!(kb > 0, "a live process has a nonzero RSS high-water mark");
         }
         if let Some(t) = thread_cpu_us() {
             // Burn a little CPU and confirm the counter is monotone.

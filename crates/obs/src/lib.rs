@@ -3,8 +3,9 @@
 //! The paper's argument is that regression models replace opaque,
 //! hours-long simulation with fast prediction; this crate makes the
 //! pipeline itself transparent so that claim is measurable. It has zero
-//! external dependencies (the build must work offline) and provides four
-//! facilities:
+//! external dependencies (the build must work offline). A run is one
+//! process whose only fan-out is the [`pool`] of scoped threads, so
+//! every facility below is process-local:
 //!
 //! - [`span`] — hierarchical RAII wall-clock timers feeding a
 //!   thread-safe global collector ([`span::enter`], [`span::Collector`]);
@@ -17,8 +18,8 @@
 //!   ([`alloc::CountingAlloc`], opt-in per binary) whose process-wide
 //!   and per-thread counters feed the manifest `resources` section,
 //!   span attribution, and the [`alloc::assert_no_alloc`] test guard;
-//! - [`cputime`] — best-effort `/proc` probes shared by parent and
-//!   workers: thread/process CPU time, current and peak RSS;
+//! - [`cputime`] — best-effort `/proc` probes: thread/process CPU time
+//!   and peak RSS;
 //! - [`pool`] — a scoped-thread work pool ([`pool::map`]) with
 //!   deterministic, input-ordered results; the oracle layer fans
 //!   simulation batches through it, sized by [`pool::set_max_workers`]
@@ -29,29 +30,17 @@
 //!   fallbacks, sweep throughput, …);
 //! - [`log`] — leveled structured logging to stderr, gated by the
 //!   `UDSE_LOG` environment variable (`off`, `error`, `warn`, `info`,
-//!   `debug`, `trace`), with a rate-limited [`progress::Progress`] meter
-//!   for long sweeps;
+//!   `debug`, `trace`);
 //! - [`manifest`] — a [`manifest::RunManifest`] capturing per-artifact
 //!   wall time, metric snapshots, span totals, model quality, seeds, and
 //!   configuration, serialized with the hand-rolled JSON writer/parser in
 //!   [`json`] (and read back by [`manifest::ParsedManifest`]);
-//! - [`sharded`] — the result-shard wire format for multi-process runs:
-//!   [`sharded::ResultShard`] writer/reader plus
-//!   [`sharded::ShardedResults`] reassembly with missing-shard detection
-//!   (and [`manifest::merge_manifests`] to aggregate the per-shard run
-//!   manifests);
 //! - [`quality`] — model-quality telemetry: per-benchmark and pooled
 //!   prediction-error quantiles, signed bias, and R² accumulated in a
 //!   global [`quality::Collector`] and persisted in the manifest;
 //! - [`trace`] — an opt-in (`UDSE_TRACE`) buffer of discrete span/instant
 //!   events exporting to Chrome `trace_event` JSON (Perfetto-loadable)
-//!   and a JSONL stream, with per-process pid lanes and clock-offset
-//!   normalization ([`trace::merge_process_traces`]) for sharded runs;
-//! - [`sidecar`] — the worker telemetry sidecar: a JSONL stream of
-//!   heartbeats, span totals, and trace events each worker writes next
-//!   to its result shard, which the parent tails live
-//!   ([`sidecar::parse_tail`]) and harvests after reassembly
-//!   ([`sidecar::collect`]).
+//!   and a JSONL stream.
 //!
 //! # Conventions
 //!
@@ -82,10 +71,7 @@ pub mod log;
 pub mod manifest;
 pub mod metrics;
 pub mod pool;
-pub mod progress;
 pub mod quality;
-pub mod sharded;
-pub mod sidecar;
 pub mod span;
 pub mod trace;
 
@@ -101,8 +87,6 @@ static TEST_ALLOC: CountingAlloc = CountingAlloc::new();
 pub use log::Level;
 pub use manifest::{ParsedManifest, RunManifest};
 pub use metrics::Registry;
-pub use progress::{Progress, ShardProgress};
 pub use quality::QualityRecord;
-pub use sharded::{ResultShard, ShardedResults};
 pub use span::SpanGuard;
 pub use trace::TraceEvent;
