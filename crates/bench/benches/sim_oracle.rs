@@ -1,9 +1,10 @@
-//! Criterion benches for the decomposed cycle oracle: cold (direct
-//! simulation, no memo), stream resolution (the once-per-sub-config
-//! cost), and warm (streamed engine against memoized streams) —
-//! instructions/sec tracked the same way the predictor's designs/sec
-//! is, so regressions in either half of the decomposition show up
-//! independently.
+//! Criterion benches for the decomposed cycle oracle: the trace
+//! preflight (once per trace), the single-design wrapper (preflight +
+//! resolve + stream, what a run outside the memoizing oracle costs),
+//! stream resolution (the once-per-sub-config cost), and warm (streamed
+//! engine against memoized streams) — instructions/sec tracked the same
+//! way the predictor's designs/sec is, so regressions in any layer of
+//! the decomposition show up independently.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use udse_sim::{
@@ -22,9 +23,14 @@ fn bench_sim_oracle(c: &mut Criterion) {
     let sim = Simulator::new(cfg);
     let pre = TracePreflight::of(&trace);
 
-    // Cold: what every simulation cost before the decomposition (and
-    // what a memo miss still pays via resolve + streamed run).
-    group.bench_with_input(BenchmarkId::from_parameter("cold_direct"), &trace, |bch, t| {
+    // Preflight: the design-invariant decode a trace pays exactly once.
+    group.bench_with_input(BenchmarkId::from_parameter("preflight"), &trace, |bch, t| {
+        bch.iter(|| TracePreflight::of(t).len())
+    });
+
+    // Cold: `run_with_warmup`, a single design with nothing shared —
+    // preflight, resolve both streams, then the streamed core.
+    group.bench_with_input(BenchmarkId::from_parameter("cold_wrapper"), &trace, |bch, t| {
         bch.iter(|| sim.run_with_warmup(t, BENCH_TRACE_LEN / 4))
     });
 

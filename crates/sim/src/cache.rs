@@ -263,9 +263,9 @@ impl CacheHierarchy {
 /// demand-block deltas agree, pull the next block on the stride into the
 /// hierarchy ahead of the demand access.
 ///
-/// The direct engine and the stream resolver both drive the data cache
-/// through this one implementation, so a resolved stream replays exactly
-/// the prefetch decisions the direct path would make.
+/// The stream resolver (and the test-only staged reference model) drive
+/// the data cache through this one implementation, so a resolved stream
+/// replays exactly the prefetch decisions a per-instruction walk makes.
 #[derive(Debug, Clone)]
 pub(crate) struct StridePrefetcher {
     last_block: i64,

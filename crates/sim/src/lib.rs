@@ -18,7 +18,12 @@
 //! The timing model is a dependence-driven scheduler in the style of
 //! trace-driven research timers: every instruction's fetch, dispatch,
 //! issue, completion, and commit cycles are computed subject to bandwidth,
-//! resource-occupancy, dependence, and control-flow constraints. The power
+//! resource-occupancy, dependence, and control-flow constraints. It has
+//! one implementation, the streamed core: a trace is preflighted once
+//! ([`TracePreflight`]), its cache and branch outcomes are resolved once
+//! per sub-configuration ([`CacheStreams`], [`BranchStream`]), and the
+//! core consumes them; [`Simulator::run`] does all three for one design.
+//! The power
 //! model follows PowerTimer's structure: per-access energies (superlinear
 //! in width for multi-ported arrays, near-linear for clustered functional
 //! units), CACTI-like `sqrt(size)` cache access energy, latch/clock power
@@ -47,6 +52,9 @@ mod engine;
 mod power;
 mod predictor;
 mod preflight;
+#[cfg(test)]
+mod reference;
+#[cfg(test)]
 mod resources;
 mod result;
 mod stream;
@@ -61,6 +69,5 @@ pub use preflight::{
     BhtSubConfig, BranchStream, CacheStreams, CacheSubConfig, TracePreflight, OUTCOME_L1,
     OUTCOME_L2, OUTCOME_MEMORY,
 };
-pub use resources::ResourcePool;
 pub use result::{SimResult, StallBreakdown};
 pub use stream::StreamScratch;

@@ -20,15 +20,15 @@
 //! across every run of that trace, and [`CacheStreams`] /
 //! [`BranchStream`] resolve the per-instruction outcomes once per
 //! [`CacheSubConfig`] / [`BhtSubConfig`] by replaying the *same*
-//! `CacheHierarchy` / `BhtPredictor` implementations the direct engine
-//! uses. `Simulator::run_streamed` then consumes the resolved outcomes
-//! with table lookups instead of state-machine replays, producing a
-//! `SimResult` bitwise-identical to the direct path (see the
-//! equivalence suites in `tests/`).
+//! `CacheHierarchy` / `BhtPredictor` state machines a cycle-by-cycle
+//! replay would drive. `Simulator::run_streamed` then consumes the
+//! resolved outcomes with table lookups instead of state-machine
+//! replays; `Simulator::run_with_warmup` is exactly these three steps
+//! (preflight, resolve, stream) for one design.
 //!
 //! Outcome streams are *event-indexed*, not instruction-indexed: one
-//! byte per code-block boundary, per memory op, per branch. The
-//! preflight's boundary/op columns tell the engine when to advance each
+//! byte per code-block boundary, per memory op, per branch. The packed
+//! word's boundary and op bits tell the engine when to advance each
 //! cursor, and the sparse encoding keeps a memoized stream store (125
 //! cache geometries x 9 traces in the paper's Table 1 space) a few
 //! hundred kilobytes per entry instead of megabytes.
@@ -59,10 +59,11 @@ fn encode(outcome: AccessOutcome) -> u8 {
 /// A trace decoded once into design-invariant columnar (SoA) streams.
 ///
 /// Built once per `(benchmark, trace)` and shared via [`Arc`] across
-/// every simulation and stream resolution of that trace. The hot-loop
-/// columns (`ops`, `src1`, `src2`, `new_code`, `taken`) are what
-/// `Simulator::run_streamed` walks; the block/site columns exist for the
-/// stream resolvers.
+/// every simulation and stream resolution of that trace. It holds only
+/// what its three readers need: the packed per-instruction word the
+/// streamed core walks, the interleaved cache-event column (with its
+/// two precomputed set-index hashes) [`CacheStreams::resolve`] replays,
+/// and the branch-event column [`BranchStream::resolve`] replays.
 ///
 /// # Examples
 ///
@@ -77,17 +78,13 @@ fn encode(outcome: AccessOutcome) -> u8 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TracePreflight {
-    ops: Vec<OpClass>,
-    src1: Vec<u16>,
-    src2: Vec<u16>,
-    /// True where the instruction begins a different code block than its
-    /// predecessor — exactly the instructions whose fetch touches the
-    /// I-cache (the engine's `prev_code_block` test, precomputed).
-    new_code: Vec<bool>,
-    taken: Vec<bool>,
-    data_block: Vec<u32>,
-    code_block: Vec<u32>,
-    branch_site: Vec<u32>,
+    /// Per-instruction hot-loop word: everything the streamed engine
+    /// reads per instruction in one load — `op` (bits 0-2, the
+    /// [`OpClass`] discriminant), `new_code` (bit 3: the instruction
+    /// begins a different code block than its predecessor, so its fetch
+    /// touches the I-cache), `taken` (bit 4), `src1_dist` (bits 16-31),
+    /// `src2_dist` (bits 32-47).
+    packed: Vec<u64>,
     /// Interleaved cache access events in trace order, packed as
     /// `block << 1 | is_data`. Stream resolution replays the hierarchy
     /// over exactly these (the interleaving matters: the unified L2
@@ -101,78 +98,68 @@ pub struct TracePreflight {
     /// Per-event set-index hash of the unified-L2 key: for code events
     /// `mix(block | CODE_SPACE)`, for data events equal to the L1 hash.
     event_l2_hash: Vec<u64>,
-    /// Per-instruction hot-loop word: everything the streamed engine
-    /// reads per instruction in one load — `op` (bits 0-2, the
-    /// [`OpClass`] discriminant), `new_code` (bit 3), `taken` (bit 4),
-    /// `src1_dist` (bits 16-31), `src2_dist` (bits 32-47).
-    packed: Vec<u64>,
+    /// Branch events in trace order, packed as `site << 1 | taken`.
+    branch_events: Vec<u64>,
     code_events: usize,
-    data_events: usize,
-    branch_events: usize,
 }
 
 impl TracePreflight {
-    /// Decodes `trace` into columnar streams.
+    /// Decodes `trace` into columnar streams in one pass over the
+    /// instructions, plus one over the cache events for their hashes.
+    ///
+    /// The instruction walk is branch-free: op classes and code-block
+    /// boundaries follow the trace's random mix, so `if`/`match` pushes
+    /// would mispredict on most instructions. Instead every instruction
+    /// writes its candidate code, data and branch events into columns
+    /// sized for the worst case (one code and one data event, at most
+    /// one branch, per instruction) and advances each cursor by its
+    /// condition; a write whose condition is false is overwritten by the
+    /// next event or cut off by the final truncate.
     pub fn of(trace: &Trace) -> Self {
         let insts = trace.instructions();
         let n = insts.len();
-        let mut pre = TracePreflight {
-            ops: Vec::with_capacity(n),
-            src1: Vec::with_capacity(n),
-            src2: Vec::with_capacity(n),
-            new_code: Vec::with_capacity(n),
-            taken: Vec::with_capacity(n),
-            data_block: Vec::with_capacity(n),
-            code_block: Vec::with_capacity(n),
-            branch_site: Vec::with_capacity(n),
-            cache_events: Vec::new(),
-            event_l1_hash: Vec::new(),
-            event_l2_hash: Vec::new(),
-            packed: Vec::with_capacity(n),
-            code_events: 0,
-            data_events: 0,
-            branch_events: 0,
-        };
-        let mut prev_code_block: Option<u32> = None;
+        let mut packed = Vec::with_capacity(n);
+        let mut cache_events = vec![0u64; 2 * n];
+        let mut branch_events = vec![0u64; n];
+        let (mut ce, mut be, mut code_events) = (0usize, 0usize, 0usize);
+        // No u32 block id equals the sentinel, so the first instruction
+        // always opens a code block.
+        let mut prev_code_block = u64::MAX;
         for inst in insts {
-            let new_code = prev_code_block != Some(inst.code_block);
-            prev_code_block = Some(inst.code_block);
-            pre.ops.push(inst.op);
-            pre.src1.push(inst.src1_dist);
-            pre.src2.push(inst.src2_dist);
-            pre.new_code.push(new_code);
-            pre.taken.push(inst.taken);
-            pre.data_block.push(inst.data_block);
-            pre.code_block.push(inst.code_block);
-            pre.branch_site.push(inst.branch_site);
-            pre.packed.push(
+            let code_block = inst.code_block as u64;
+            let new_code = code_block != prev_code_block;
+            prev_code_block = code_block;
+            packed.push(
                 inst.op as u64
                     | (new_code as u64) << 3
                     | (inst.taken as u64) << 4
                     | (inst.src1_dist as u64) << 16
                     | (inst.src2_dist as u64) << 32,
             );
-            pre.code_events += new_code as usize;
-            if new_code {
-                let block = inst.code_block as u64;
-                pre.cache_events.push(block << 1);
-                pre.event_l1_hash.push(mix(block));
-                pre.event_l2_hash.push(mix(block | CODE_SPACE));
-            }
-            match inst.op {
-                OpClass::Load | OpClass::Store => {
-                    pre.data_events += 1;
-                    let block = inst.data_block as u64;
-                    pre.cache_events.push(block << 1 | 1);
-                    let h = mix(block);
-                    pre.event_l1_hash.push(h);
-                    pre.event_l2_hash.push(h);
-                }
-                OpClass::Branch => pre.branch_events += 1,
-                _ => {}
-            }
+            cache_events[ce] = code_block << 1;
+            ce += new_code as usize;
+            code_events += new_code as usize;
+            cache_events[ce] = (inst.data_block as u64) << 1 | 1;
+            ce += matches!(inst.op, OpClass::Load | OpClass::Store) as usize;
+            branch_events[be] = (inst.branch_site as u64) << 1 | inst.taken as u64;
+            be += (inst.op == OpClass::Branch) as usize;
         }
-        pre
+        cache_events.truncate(ce);
+        cache_events.shrink_to_fit();
+        branch_events.truncate(be);
+        branch_events.shrink_to_fit();
+        let event_l1_hash = cache_events.iter().map(|&e| mix(e >> 1)).collect();
+        // Code events (bit 0 clear) key the unified L2 in the code space.
+        let event_l2_hash =
+            cache_events.iter().map(|&e| mix((e >> 1) | (CODE_SPACE * (1 - (e & 1))))).collect();
+        TracePreflight {
+            packed,
+            cache_events,
+            event_l1_hash,
+            event_l2_hash,
+            branch_events,
+            code_events,
+        }
     }
 
     /// Convenience: decode and wrap in an [`Arc`] for sharing.
@@ -182,12 +169,12 @@ impl TracePreflight {
 
     /// Instructions in the trace.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.packed.len()
     }
 
     /// True when the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.packed.is_empty()
     }
 
     /// Number of I-cache access events (code-block boundaries).
@@ -197,37 +184,12 @@ impl TracePreflight {
 
     /// Number of D-cache access events (loads plus stores).
     pub fn data_events(&self) -> usize {
-        self.data_events
+        self.cache_events.len() - self.code_events
     }
 
     /// Number of branch-predictor events (branch instructions).
     pub fn branch_events(&self) -> usize {
-        self.branch_events
-    }
-
-    /// Op-class column.
-    pub fn ops(&self) -> &[OpClass] {
-        &self.ops
-    }
-
-    /// First-source dependency distances (0 = none).
-    pub fn src1(&self) -> &[u16] {
-        &self.src1
-    }
-
-    /// Second-source dependency distances (0 = none).
-    pub fn src2(&self) -> &[u16] {
-        &self.src2
-    }
-
-    /// Code-block boundary column.
-    pub fn new_code(&self) -> &[bool] {
-        &self.new_code
-    }
-
-    /// Branch outcome column (meaningful at branch instructions).
-    pub fn taken(&self) -> &[bool] {
-        &self.taken
+        self.branch_events.len()
     }
 
     /// Packed hot-loop words (see the field docs for the layout).
@@ -311,10 +273,10 @@ pub struct CacheStreams {
 
 impl CacheStreams {
     /// Replays the cache hierarchy over the preflighted trace, recording
-    /// every demand outcome. The replay drives the exact
-    /// [`CacheHierarchy`] implementation (including prefetch ordering)
-    /// the direct engine uses, so outcomes — and therefore the final
-    /// `SimResult` — are bitwise-identical.
+    /// every demand outcome. The replay drives [`CacheHierarchy`] and
+    /// the stride prefetcher in trace order with the same prefetch
+    /// ordering as a per-instruction walk (prefetch after the code
+    /// access, stride observation before the data access).
     pub fn resolve(pre: &TracePreflight, sub: &CacheSubConfig) -> Self {
         let mut caches = CacheHierarchy::with_geometry(
             (sub.il1_kb, sub.il1_assoc),
@@ -379,12 +341,8 @@ impl BranchStream {
     /// [`BhtPredictor::with_counter_bits`].
     pub fn resolve(pre: &TracePreflight, sub: &BhtSubConfig) -> Self {
         let mut bht = BhtPredictor::with_counter_bits(sub.entries, sub.counter_bits);
-        let mut correct = Vec::with_capacity(pre.branch_events());
-        for i in 0..pre.len() {
-            if pre.ops[i] == OpClass::Branch {
-                correct.push(bht.predict_and_update(pre.branch_site[i] as u64, pre.taken[i]));
-            }
-        }
+        let correct =
+            pre.branch_events.iter().map(|&e| bht.predict_and_update(e >> 1, e & 1 != 0)).collect();
         BranchStream { correct }
     }
 
@@ -409,18 +367,46 @@ mod tests {
     }
 
     #[test]
-    fn preflight_columns_match_trace() {
+    fn packed_words_decode_to_the_trace() {
         let t = trace();
         let pre = TracePreflight::of(&t);
         assert_eq!(pre.len(), t.len());
         let insts = t.instructions();
-        for (i, inst) in insts.iter().enumerate() {
-            assert_eq!(pre.ops()[i], inst.op);
-            assert_eq!(pre.src1()[i], inst.src1_dist);
-            assert_eq!(pre.src2()[i], inst.src2_dist);
-            assert_eq!(pre.taken()[i], inst.taken);
+        for (i, (inst, &m)) in insts.iter().zip(pre.packed()).enumerate() {
+            assert_eq!(m & 7, inst.op as u64, "op at {i}");
+            assert_eq!(m >> 4 & 1 != 0, inst.taken, "taken at {i}");
+            assert_eq!((m >> 16 & 0xFFFF) as u16, inst.src1_dist, "src1 at {i}");
+            assert_eq!((m >> 32 & 0xFFFF) as u16, inst.src2_dist, "src2 at {i}");
             let expected_boundary = i == 0 || insts[i - 1].code_block != inst.code_block;
-            assert_eq!(pre.new_code()[i], expected_boundary, "boundary at {i}");
+            assert_eq!(m >> 3 & 1 != 0, expected_boundary, "boundary at {i}");
+        }
+    }
+
+    #[test]
+    fn event_columns_follow_trace_order() {
+        let t = trace();
+        let pre = TracePreflight::of(&t);
+        let mut cache = Vec::new();
+        let mut branches = Vec::new();
+        for (inst, &m) in t.instructions().iter().zip(pre.packed()) {
+            if m >> 3 & 1 != 0 {
+                cache.push((inst.code_block as u64) << 1);
+            }
+            match inst.op {
+                OpClass::Load | OpClass::Store => cache.push((inst.data_block as u64) << 1 | 1),
+                OpClass::Branch => {
+                    branches.push((inst.branch_site as u64) << 1 | inst.taken as u64)
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(pre.cache_events, cache);
+        assert_eq!(pre.branch_events, branches);
+        for (k, &e) in pre.cache_events.iter().enumerate() {
+            let block = e >> 1;
+            let l2_key = if e & 1 == 0 { block | CODE_SPACE } else { block };
+            assert_eq!(pre.event_l1_hash[k], mix(block), "L1 hash of event {k}");
+            assert_eq!(pre.event_l2_hash[k], mix(l2_key), "L2 hash of event {k}");
         }
     }
 
@@ -453,8 +439,8 @@ mod tests {
         // event by event.
         let mut caches = CacheHierarchy::new(&cfg);
         let (mut cc, mut dc) = (0usize, 0usize);
-        for (i, inst) in t.instructions().iter().enumerate() {
-            if pre.new_code()[i] {
+        for (inst, &m) in t.instructions().iter().zip(pre.packed()) {
+            if m >> 3 & 1 != 0 {
                 let out = encode(caches.access_code(inst.code_block as u64));
                 assert_eq!(streams.code()[cc], out, "code event {cc}");
                 cc += 1;

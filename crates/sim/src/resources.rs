@@ -3,35 +3,19 @@ use std::collections::BinaryHeap;
 
 /// A finite pool of identical resources (physical registers, reservation
 /// station entries, queue slots, functional-unit issue slots) tracked by
-/// release cycle.
+/// release cycle, as a min-heap — the occupancy structure of the staged
+/// reference model (test builds only; the streamed engine's `MonoRing`
+/// and `SlotPool` stand in for it in production).
 ///
 /// `acquire(cycle)` returns the earliest cycle at or after `cycle` when an
 /// entry is available; the caller then registers the entry's release with
 /// `release_at`. This is the standard occupancy model for dependence-driven
 /// timers: allocation order is program order, so a full pool delays
 /// dispatch until the oldest holder releases.
-///
-/// # Examples
-///
-/// ```
-/// use udse_sim::ResourcePool;
-///
-/// let mut pool = ResourcePool::new(2);
-/// assert_eq!(pool.acquire(10), 10);
-/// pool.release_at(15);
-/// assert_eq!(pool.acquire(10), 10);
-/// pool.release_at(20);
-/// // Pool is full until cycle 15.
-/// assert_eq!(pool.acquire(12), 15);
-/// ```
 #[derive(Debug, Clone)]
-pub struct ResourcePool {
+pub(crate) struct ResourcePool {
     capacity: usize,
     releases: BinaryHeap<Reverse<u64>>,
-    /// High-water mark of simultaneous occupancy, for utilization stats.
-    peak: usize,
-    /// Total acquisitions, for activity-based power accounting.
-    acquisitions: u64,
 }
 
 impl ResourcePool {
@@ -40,27 +24,16 @@ impl ResourcePool {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "resource pool capacity must be positive");
-        ResourcePool {
-            capacity,
-            releases: BinaryHeap::with_capacity(capacity + 1),
-            peak: 0,
-            acquisitions: 0,
-        }
-    }
-
-    /// Pool capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        ResourcePool { capacity, releases: BinaryHeap::with_capacity(capacity + 1) }
     }
 
     /// Acquires one entry at or after `cycle`, returning the actual
     /// acquisition cycle (delayed to the earliest release when the pool is
     /// full). The caller must pair this with exactly one
     /// [`ResourcePool::release_at`].
-    pub fn acquire(&mut self, cycle: u64) -> u64 {
-        self.acquisitions += 1;
+    pub(crate) fn acquire(&mut self, cycle: u64) -> u64 {
         // Drop bookkeeping for entries already free at `cycle`.
         while let Some(&Reverse(r)) = self.releases.peek() {
             if r <= cycle && self.releases.len() == self.capacity {
@@ -69,14 +42,12 @@ impl ResourcePool {
                 break;
             }
         }
-        let at = if self.releases.len() < self.capacity {
+        if self.releases.len() < self.capacity {
             cycle
         } else {
             let Reverse(earliest) = self.releases.pop().expect("full pool has entries");
             earliest.max(cycle)
-        };
-        self.peak = self.peak.max(self.releases.len() + 1);
-        at
+        }
     }
 
     /// Registers that the most recently acquired entry frees at `cycle`.
@@ -85,19 +56,9 @@ impl ResourcePool {
     ///
     /// Panics if called more times than `acquire` (occupancy underflow is a
     /// program error).
-    pub fn release_at(&mut self, cycle: u64) {
+    pub(crate) fn release_at(&mut self, cycle: u64) {
         assert!(self.releases.len() < self.capacity, "release_at without matching acquire");
         self.releases.push(Reverse(cycle));
-    }
-
-    /// Total acquisitions performed.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Peak simultaneous occupancy.
-    pub fn peak(&self) -> usize {
-        self.peak
     }
 }
 
@@ -139,17 +100,6 @@ mod tests {
         p.release_at(7);
         assert_eq!(p.acquire(6), 7);
         p.release_at(8);
-    }
-
-    #[test]
-    fn acquisitions_and_peak_tracked() {
-        let mut p = ResourcePool::new(3);
-        p.acquire(0);
-        p.release_at(100);
-        p.acquire(0);
-        p.release_at(100);
-        assert_eq!(p.acquisitions(), 2);
-        assert_eq!(p.peak(), 2);
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! The streamed cycle engine: `Simulator::run_streamed` consumes
-//! preflighted traces and resolved outcome streams instead of replaying
-//! caches and the branch predictor per design.
+//! The streamed cycle engine, the simulator's one timing model:
+//! `Simulator::run_streamed` consumes preflighted traces and resolved
+//! outcome streams instead of replaying caches and the branch predictor
+//! per design.
 //!
-//! Beyond swapping state machines for table lookups, the hot loop is
-//! tightened two ways the direct path cannot be:
+//! Beyond swapping state machines for table lookups, the hot loop
+//! replaces the occupancy min-heaps of the textbook model (kept as the
+//! test-only reference in `reference.rs`) two ways:
 //!
 //! - **Monotone release queues.** Six of the engine's occupancy pools
 //!   (ROB, the three register files, LSQ, store queue) release entries
@@ -20,7 +22,7 @@
 //!   issue, but their capacities are tiny (Table 1 tops out at 28
 //!   entries). [`SlotPool`] models each entry's release cycle in a flat
 //!   array and finds the minimum by a branchless fixed-trip scan over
-//!   `release << 8 | slot` keys — no data-dependent branches to
+//!   `release << 16 | slot` keys — no data-dependent branches to
 //!   mispredict, and equivalent to the heap because a pool with
 //!   balanced acquire/release pairs is exactly "take the entry with the
 //!   earliest release" (unused entries sit at release 0, reproducing
@@ -31,10 +33,14 @@
 //! `tests/no_alloc_stream.rs`).
 
 use crate::config::MachineConfig;
-use crate::engine::{Simulator, WarmupSnapshot, DEP_WINDOW};
+use crate::engine::Simulator;
 use crate::power::PowerModel;
 use crate::preflight::{BranchStream, CacheStreams, TracePreflight, OUTCOME_L1};
 use crate::result::{ActivityCounts, SimResult, StallBreakdown};
+
+/// Dependency window: matches the trace generator's maximum dependency
+/// distance.
+pub(crate) const DEP_WINDOW: usize = 1024;
 
 /// A FIFO ring standing in for a min-heap whose pushes are known to be
 /// nondecreasing: the front entry is always the minimum release cycle.
@@ -97,7 +103,7 @@ impl MonoRing {
 /// Entries start at release 0 ("free since forever"), which reproduces
 /// a standard min-heap's behaviour before the pool first fills.
 ///
-/// Each slot stores `release << 8 | slot_index`, so a plain `min` scan
+/// Each slot stores `release << 16 | slot_index`, so a plain `min` scan
 /// yields both the earliest release and which slot holds it in one
 /// fixed-trip, branchless pass (ties break toward the lowest index,
 /// which is immaterial: only the multiset of release times feeds the
@@ -116,7 +122,7 @@ struct SlotPool {
 impl SlotPool {
     fn reset(&mut self, capacity: usize) {
         assert!(capacity > 0, "resource pool capacity must be positive");
-        assert!(capacity <= 256, "SlotPool packs the slot index into 8 bits");
+        assert!(capacity <= 1 << 16, "SlotPool packs the slot index into 16 bits");
         self.slots.clear();
         self.slots.extend(0..capacity as u64);
         self.pending = 0;
@@ -128,14 +134,14 @@ impl SlotPool {
         for &s in &self.slots[1..] {
             best = best.min(s);
         }
-        self.pending = (best & 0xFF) as usize;
-        (best >> 8).max(cycle)
+        self.pending = (best & 0xFFFF) as usize;
+        (best >> 16).max(cycle)
     }
 
     #[inline]
     fn release_at(&mut self, cycle: u64) {
-        debug_assert!(cycle < 1 << 56, "release cycle overflows the packed slot key");
-        self.slots[self.pending] = cycle << 8 | self.pending as u64;
+        debug_assert!(cycle < 1 << 48, "release cycle overflows the packed slot key");
+        self.slots[self.pending] = cycle << 16 | self.pending as u64;
     }
 }
 
@@ -214,8 +220,8 @@ impl StreamScratch {
     }
 }
 
-/// Running cache/BHT counters the streamed path derives from outcome
-/// events (the direct path reads them off the live state machines).
+/// Running cache/BHT counters derived from outcome events (a
+/// cycle-by-cycle replay would read them off the live state machines).
 #[derive(Debug, Clone, Copy, Default)]
 struct StreamCounts {
     il1_accesses: u64,
@@ -231,8 +237,7 @@ struct StreamCounts {
 impl Simulator {
     /// Simulates a preflighted trace against resolved cache and branch
     /// outcome streams, discarding statistics for the first
-    /// `warmup_insts` instructions. Produces a [`SimResult`]
-    /// bitwise-identical to
+    /// `warmup_insts` instructions. Produces the same [`SimResult`] as
     /// [`Simulator::run_with_warmup`] on the original trace, provided the
     /// streams were resolved for this configuration's
     /// [`crate::CacheSubConfig`] / [`crate::BhtSubConfig`].
@@ -335,8 +340,8 @@ impl Simulator {
         // loop body takes exactly one data-dependent branch per
         // instruction (the opcode dispatch) instead of one per stage.
         // Every macro performs the same arithmetic, in the same order,
-        // as the staged form in `engine.rs` — that is what keeps the
-        // result bitwise-identical.
+        // as the staged reference model in `reference.rs` — that is what
+        // keeps the result bitwise-identical to it.
         macro_rules! pool_acquire {
             ($pool:ident, $stall:ident, $d:ident) => {{
                 let before = $d;
@@ -538,8 +543,8 @@ impl Simulator {
         }
 
         acts.instructions = (pre.len() - warmup_insts) as u64;
-        // Same per-run accounting as the direct path, so manifests see
-        // one consistent pair of counters whichever engine ran.
+        // One registry update per run (never per instruction) keeps the
+        // accounting overhead invisible next to the simulation itself.
         udse_obs::metrics::counter("sim.runs").inc();
         udse_obs::metrics::counter("sim.instructions").add(pre.len() as u64);
         acts.cycles = final_commit.saturating_sub(warmup_commit).max(1);
@@ -555,6 +560,43 @@ impl Simulator {
 
         let power = PowerModel::new(cfg).evaluate(&acts);
         SimResult::new(cfg, &acts, power, stalls)
+    }
+}
+
+/// Counter values at the warmup boundary, subtracted from the final
+/// counts so results describe only the measured region.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WarmupSnapshot {
+    pub(crate) fx_ops: u64,
+    pub(crate) fp_ops: u64,
+    pub(crate) loads: u64,
+    pub(crate) stores: u64,
+    pub(crate) branches: u64,
+    pub(crate) il1_accesses: u64,
+    pub(crate) il1_misses: u64,
+    pub(crate) dl1_accesses: u64,
+    pub(crate) dl1_misses: u64,
+    pub(crate) l2_accesses: u64,
+    pub(crate) l2_misses: u64,
+    pub(crate) bht_lookups: u64,
+    pub(crate) mispredicts: u64,
+}
+
+impl WarmupSnapshot {
+    pub(crate) fn subtract_from(&self, acts: &mut ActivityCounts) {
+        acts.fx_ops -= self.fx_ops;
+        acts.fp_ops -= self.fp_ops;
+        acts.loads -= self.loads;
+        acts.stores -= self.stores;
+        acts.branches -= self.branches;
+        acts.il1_accesses -= self.il1_accesses;
+        acts.il1_misses -= self.il1_misses;
+        acts.dl1_accesses -= self.dl1_accesses;
+        acts.dl1_misses -= self.dl1_misses;
+        acts.l2_accesses -= self.l2_accesses;
+        acts.l2_misses -= self.l2_misses;
+        acts.bht_lookups -= self.bht_lookups;
+        acts.mispredicts -= self.mispredicts;
     }
 }
 
@@ -580,6 +622,7 @@ fn snapshot(acts: &ActivityCounts, counts: &StreamCounts) -> WarmupSnapshot {
 mod tests {
     use super::*;
     use crate::preflight::{BhtSubConfig, CacheSubConfig};
+    use crate::reference::run_staged;
     use udse_trace::{Benchmark, Trace};
 
     fn artifacts(
@@ -593,20 +636,20 @@ mod tests {
     }
 
     #[test]
-    fn streamed_matches_direct_on_baseline() {
+    fn streamed_matches_reference_on_baseline() {
         let trace = Trace::generate(Benchmark::Twolf, 8_000, 3);
         let cfg = MachineConfig::power4_baseline();
         let (pre, cache, bht) = artifacts(&cfg, &trace);
         let sim = Simulator::new(cfg);
         for warmup in [0usize, 1, 2_000, 7_999] {
-            let direct = sim.run_with_warmup(&trace, warmup);
+            let staged = run_staged(&cfg, &trace, warmup);
             let streamed = sim.run_streamed(&pre, &cache, &bht, warmup);
-            assert_eq!(streamed, direct, "warmup {warmup}");
+            assert_eq!(streamed, staged, "warmup {warmup}");
         }
     }
 
     #[test]
-    fn streamed_matches_direct_with_prefetch_and_two_bit_bht() {
+    fn streamed_matches_reference_with_prefetch_and_two_bit_bht() {
         let trace = Trace::generate(Benchmark::Mcf, 8_000, 11);
         let mut cfg = MachineConfig::power4_baseline();
         cfg.il1_next_line_prefetch = true;
@@ -614,10 +657,9 @@ mod tests {
         cfg.bht_counter_bits = 2;
         cfg.in_order = true;
         let (pre, cache, bht) = artifacts(&cfg, &trace);
-        let sim = Simulator::new(cfg);
-        let direct = sim.run_with_warmup(&trace, 2_000);
-        let streamed = sim.run_streamed(&pre, &cache, &bht, 2_000);
-        assert_eq!(streamed, direct);
+        let staged = run_staged(&cfg, &trace, 2_000);
+        let streamed = Simulator::new(cfg).run_streamed(&pre, &cache, &bht, 2_000);
+        assert_eq!(streamed, staged);
     }
 
     #[test]
@@ -636,10 +678,10 @@ mod tests {
         wide.gpr = 130;
         let cache_w = CacheStreams::resolve(&pre, &CacheSubConfig::of(&wide));
         let bht_w = BranchStream::resolve(&pre, &BhtSubConfig::of(&wide));
-        let sim_w = Simulator::new(wide);
-        let direct = sim_w.run_with_warmup(&trace, 1_000);
-        let streamed = sim_w.run_streamed_with(&pre, &cache_w, &bht_w, 1_000, &mut scratch);
-        assert_eq!(streamed, direct);
+        let staged = run_staged(&wide, &trace, 1_000);
+        let streamed =
+            Simulator::new(wide).run_streamed_with(&pre, &cache_w, &bht_w, 1_000, &mut scratch);
+        assert_eq!(streamed, staged);
     }
 
     #[test]

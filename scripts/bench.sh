@@ -4,8 +4,8 @@
 # snapshots, span wall/cpu/alloc totals, and a process `resources`
 # section for `udse-inspect diff` gating (including --tol-resource).
 #
-# The run is `repro --quick fig1 fig2 table2` with the baked-in seed
-# (2007), so the quality section (error p50/p90/max, bias, RMSE, R² per
+# The run is `repro --quick --jobs 1 fig1 fig2 table2` with the baked-in
+# seed (2007), so the quality section (error p50/p90/max, bias, RMSE, R² per
 # benchmark and pooled) is bit-identical across runs on any machine —
 # quality drift in a diff always means a code change, never noise. fig2
 # runs the characterization sweep, which populates the sweep.designs
@@ -13,9 +13,12 @@
 # watches with --tol-gauge. table2 routes the per-benchmark optima
 # through the unified query engine, so the manifest also carries the
 # query.* counters (executed, cache hits/misses, scan throughput) the
-# gate watches the same way. Wall times (and the throughput gauges) DO
-# vary by machine,
-# which is why the CI gate (scripts/ci.sh) runs the diff with
+# gate watches the same way. One pool thread pins the resource figures
+# to the code rather than the host: `sweep.allocs_per_design` counts the
+# pool's per-chunk bookkeeping, so it reads about twice as high at
+# `--jobs 2` as at `--jobs 1` for the same code. Wall times (and the
+# throughput gauges) DO vary by machine, which is why the CI gate
+# (scripts/ci.sh) runs the diff with
 # --warn-wall: quality regressions beyond the default tolerance
 # (±0.02 absolute on error fractions, i.e. two percentage points) fail
 # the gate hard, while wall-time drift beyond the default band
@@ -36,8 +39,8 @@ out="${1:-BENCH_${shortsha}.json}"
 echo "==> cargo build --release -p udse-bench"
 cargo build --release -p udse-bench
 
-echo "==> repro --quick --manifest ${out} fig1 fig2 table2"
-./target/release/repro --quick --manifest "${out}" fig1 fig2 table2 >/dev/null
+echo "==> repro --quick --jobs 1 --manifest ${out} fig1 fig2 table2"
+./target/release/repro --quick --jobs 1 --manifest "${out}" fig1 fig2 table2 >/dev/null
 
 echo "==> udse-inspect show ${out}"
 ./target/release/udse-inspect show "${out}"

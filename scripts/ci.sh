@@ -36,7 +36,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Thread-determinism smoke: the same quick figures at one and two pool
 # threads must print byte-identical stdout — every simulation is a pure
 # function of its inputs and the pool reassembles results in input
-# order, so the worker count may change only wall time.
+# order, so the worker count may change only wall time. The §8
+# artifacts ride along: `residuals` batches its evaluations across the
+# pool, and the other four run single-design simulations outside it.
 echo "==> thread-determinism smoke: repro --quick --jobs 1 vs --jobs 2"
 rm -rf target/jobs-smoke
 mkdir -p target/jobs-smoke
@@ -44,6 +46,11 @@ mkdir -p target/jobs-smoke
     > target/jobs-smoke/jobs1.out
 ./target/release/repro --quick --jobs 2 fig1 fig2 > target/jobs-smoke/jobs2.out
 diff target/jobs-smoke/jobs1.out target/jobs-smoke/jobs2.out
+./target/release/repro --quick --jobs 1 assoc stalls inorder workloads residuals \
+    > target/jobs-smoke/s8-jobs1.out
+./target/release/repro --quick --jobs 2 assoc stalls inorder workloads residuals \
+    > target/jobs-smoke/s8-jobs2.out
+diff target/jobs-smoke/s8-jobs1.out target/jobs-smoke/s8-jobs2.out
 # The manifest must carry the fused-sweep throughput gauge and
 # per-design allocation ratio (the floor and resource gates below read
 # them) and the oracle's stream-memoization counters; losing any of them
@@ -122,12 +129,13 @@ if [ -n "${baseline}" ]; then
     # losing the compiled fast path always does.
     #
     # sim.instructions_per_sec watches the decomposed cycle oracle the
-    # same way: the quick workload simulates ~34M insts/sec with trace
-    # preflight + memoized sub-config streams, while falling back to
-    # direct per-design simulation lands near 11.5M. The 15M floor
-    # clears the collapse rate by ~30% yet stays below even a heavily
-    # loaded healthy run, so it trips only when the decomposition is
-    # actually lost.
+    # same way: with one preflight per trace and memoized sub-config
+    # streams the quick workload simulates about 21M insts/sec at
+    # --jobs 1 on a 2-vCPU 2.1 GHz Xeon. A design run on its own through
+    # `Simulator::run_with_warmup` (its own preflight and streams) takes
+    # 1.3-1.7x as long as the streamed run alone at the quick trace
+    # length, so losing the sharing lands near 12-16M. The 15M floor
+    # sits below a healthy run and trips on most of that collapse range.
     #
     # The query-engine watches guard the unified query layer the studies
     # now run on: query.cache.hits is a deterministic counter (table2's
